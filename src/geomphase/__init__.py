@@ -3,12 +3,11 @@
 The package builds cyclic frames from the eigenvectors of a conserved
 operator, transports them around one period, and extracts total, dynamic
 and geometric phases, including the non-Abelian holonomy of degenerate
-levels. Everything numerical runs on its own kernels (jit-compiled when
-numba is available, pure numpy otherwise, switchable with the
-GEOMPHASE_PURE environment variable).
+levels. The numerical kernels work on stacks of small matrices, with
+every eigensolve, singular value decomposition and polar factor done by
+numpy's LAPACK bindings.
 """
 
-from ._kernels import USING_NUMBA, warmup
 from .errors import (
     BranchCutError,
     ConfigError,
@@ -83,8 +82,6 @@ from .experiments import EXPERIMENTS
 __version__ = "0.1.0"
 
 __all__ = [
-    "USING_NUMBA",
-    "warmup",
     "GeomPhaseError",
     "HermiticityError",
     "SkewHermiticityError",

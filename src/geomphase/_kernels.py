@@ -1,262 +1,84 @@
-"""Hot numeric kernels: complex Jacobi eigensolver, polar factor, frame
-alignment, unitary propagation, ordered matrix products.
+"""Hot numeric kernels over stacks of small matrices: Hermitian
+eigensolves, polar factors, frame alignment, ordered matrix products and
+midpoint-exponential propagation.
 
-The same source builds two kernel sets: a pure-numpy one (always available)
-and a numba-compiled one. The active set is chosen at import time; set
-
-    GEOMPHASE_PURE=1
-
-to force the interpreted path. Both sets coexist in one process so tests
-and the benchmark can compare them directly.
+Every factorization is one numpy.linalg (LAPACK) call on the whole
+stack; eigenvalues come back ascending. Only the ordered products, whose
+factors do not commute, run as a sequential loop over small matrices.
 """
-
-import math
-import os
 
 import numpy as np
 
-PURE_ENV = "GEOMPHASE_PURE"
+
+def _adjoint(m):
+    return np.conj(np.swapaxes(m, -1, -2))
 
 
-def _build(jit):
-    # jit is either a numba decorator or identity; inner functions may call
-    # each other, so the whole set is built in one closure.
-
-    @jit
-    def jacobi_eigh(h):
-        # Cyclic Jacobi for a Hermitian matrix. Returns (w, v) unsorted,
-        # v unitary with eigenvectors in columns. Off-diagonal norm is
-        # driven below 1e-14 * ||h||_F, far inside the 1e-10 contract.
-        n = h.shape[0]
-        a = h.copy()
-        v = np.zeros((n, n), np.complex128)
-        for i in range(n):
-            v[i, i] = 1.0
-        fro = 0.0
-        for r in range(n):
-            for c in range(n):
-                x = a[r, c]
-                fro += x.real * x.real + x.imag * x.imag
-        fro = math.sqrt(fro)
-        w = np.empty(n, np.float64)
-        if fro == 0.0:
-            for i in range(n):
-                w[i] = 0.0
-            return w, v
-        stop = 1e-14 * fro
-        skip = stop / (4.0 * n)
-        for _sweep in range(60):
-            off = 0.0
-            for r in range(n - 1):
-                for c in range(r + 1, n):
-                    x = a[r, c]
-                    off += x.real * x.real + x.imag * x.imag
-            if math.sqrt(2.0 * off) <= stop:
-                break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = a[p, q]
-                    m = abs(apq)
-                    if m <= skip:
-                        continue
-                    app = a[p, p].real
-                    aqq = a[q, q].real
-                    ph = apq / m
-                    tau = (aqq - app) / (2.0 * m)
-                    if tau >= 0.0:
-                        t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                    else:
-                        t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                    c = 1.0 / math.sqrt(1.0 + t * t)
-                    s = t * c
-                    cph = ph * c
-                    sph = ph * s
-                    for r in range(n):
-                        arp = a[r, p]
-                        arq = a[r, q]
-                        a[r, p] = arp * cph - arq * s
-                        a[r, q] = arp * sph + arq * c
-                    cphc = cph.conjugate()
-                    sphc = sph.conjugate()
-                    for r in range(n):
-                        apr = a[p, r]
-                        aqr = a[q, r]
-                        a[p, r] = cphc * apr - s * aqr
-                        a[q, r] = sphc * apr + c * aqr
-                    for r in range(n):
-                        vrp = v[r, p]
-                        vrq = v[r, q]
-                        v[r, p] = vrp * cph - vrq * s
-                        v[r, q] = vrp * sph + vrq * c
-        for i in range(n):
-            w[i] = a[i, i].real
-        return w, v
-
-    @jit
-    def eigh_batch(hs):
-        b = hs.shape[0]
-        n = hs.shape[1]
-        ws = np.empty((b, n), np.float64)
-        vs = np.empty((b, n, n), np.complex128)
-        for k in range(b):
-            w, v = jacobi_eigh(np.ascontiguousarray(hs[k]))
-            ws[k] = w
-            vs[k] = v
-        return ws, vs
-
-    @jit
-    def polar_unitary(m):
-        # Unitary factor of m = u * sqrt(m^H m). Returns (u, smallest
-        # singular value); the caller decides what "too singular" means.
-        n = m.shape[0]
-        mh = np.ascontiguousarray(m.conj().T)
-        b = mh @ np.ascontiguousarray(m)
-        w, v = jacobi_eigh(b)
-        inv = np.empty(n, np.float64)
-        smin = 1e300
-        for i in range(n):
-            wi = w[i]
-            if wi < 0.0:
-                wi = 0.0
-            sv = math.sqrt(wi)
-            if sv < smin:
-                smin = sv
-            if sv > 1e-300:
-                inv[i] = 1.0 / sv
-            else:
-                inv[i] = 0.0
-        vh = np.ascontiguousarray(v.conj().T)
-        u = np.ascontiguousarray(m) @ ((v * inv) @ vh)
-        return u, smin
-
-    @jit
-    def align_frames(frames):
-        # Sequentially gauge each frame against its already-aligned
-        # predecessor so consecutive overlaps become Hermitian positive.
-        # The first and the last stored frames are left untouched (the
-        # endpoint of a closed path is identified with the start).
-        out = frames.copy()
-        m1 = frames.shape[0]
-        smins = np.empty(m1 - 1, np.float64)
-        for k in range(m1 - 1):
-            nxt = np.ascontiguousarray(out[k + 1])
-            o = np.ascontiguousarray(nxt.conj().T) @ np.ascontiguousarray(out[k])
-            u, smin = polar_unitary(o)
-            smins[k] = smin
-            if k < m1 - 2 and smin > 1e-12:
-                out[k + 1] = nxt @ u
-        return out, smins
-
-    @jit
-    def overlap_smins(frames):
-        m1 = frames.shape[0]
-        smins = np.empty(m1 - 1, np.float64)
-        for k in range(m1 - 1):
-            fk = np.ascontiguousarray(frames[k])
-            o = np.ascontiguousarray(fk.conj().T) @ np.ascontiguousarray(frames[k + 1])
-            _u, smin = polar_unitary(o)
-            smins[k] = smin
-        return smins
-
-    @jit
-    def chain_product(mats):
-        m = mats.shape[0]
-        n = mats.shape[1]
-        p = np.zeros((n, n), np.complex128)
-        for i in range(n):
-            p[i, i] = 1.0
-        for k in range(m):
-            p = p @ np.ascontiguousarray(mats[k])
-        return p
-
-    @jit
-    def propagate(h_mid, dt, psi0):
-        # One midpoint-exponential step per interval: U_k = exp(-i H_k dt)
-        # by exact diagonalization, so each step is exactly unitary.
-        m = h_mid.shape[0]
-        n = psi0.shape[0]
-        states = np.empty((m + 1, n), np.complex128)
-        props = np.empty((m + 1, n, n), np.complex128)
-        ucur = np.zeros((n, n), np.complex128)
-        for i in range(n):
-            ucur[i, i] = 1.0
-        states[0] = psi0
-        props[0] = ucur
-        psi = psi0.copy()
-        for k in range(m):
-            w, v = jacobi_eigh(np.ascontiguousarray(h_mid[k]))
-            ph = np.exp(w * (-1j * dt))
-            vh = np.ascontiguousarray(v.conj().T)
-            ustep = (v * ph) @ vh
-            ucur = ustep @ ucur
-            psi = ustep @ psi
-            states[k + 1] = psi
-            props[k + 1] = ucur
-        return states, props
-
-    return {
-        "jacobi_eigh": jacobi_eigh,
-        "eigh_batch": eigh_batch,
-        "polar_unitary": polar_unitary,
-        "align_frames": align_frames,
-        "overlap_smins": overlap_smins,
-        "chain_product": chain_product,
-        "propagate": propagate,
-    }
+def eigh_batch(hs):
+    """Ascending eigenvalues (M, n) and eigenvector columns (M, n, n) of a
+    stack of Hermitian matrices."""
+    return np.linalg.eigh(hs)
 
 
-def _identity(f):
-    return f
+def polar_unitary(m):
+    """Unitary factor of m = u * sqrt(m^H m), for one matrix or a stack.
+
+    Returns (u, smallest singular value); the caller decides what "too
+    singular" means.
+    """
+    u, s, vh = np.linalg.svd(m)
+    return u @ vh, s[..., -1]
 
 
-numpy_kernels = _build(_identity)
+def align_frames(frames):
+    """Gauge each frame against its aligned predecessor so consecutive
+    overlaps become Hermitian positive.
 
-try:
-    from numba import njit as _njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _njit = None
-    HAVE_NUMBA = False
-
-_numba_kernels = None
-
-
-def get_numba_kernels():
-    """Build (once) and return the compiled kernel set, or None."""
-    global _numba_kernels
-    if not HAVE_NUMBA:
-        return None
-    if _numba_kernels is None:
-        _numba_kernels = _build(_njit(cache=False))
-    return _numba_kernels
-
-
-def _env_pure() -> bool:
-    return os.environ.get(PURE_ENV, "").strip().lower() in ("1", "true", "yes", "on")
+    The first and the last stored frames are left untouched (the endpoint
+    of a closed path is identified with the start). Since
+    polar(A G) = polar(A) G for unitary G, the gauge of frame k+1 is the
+    polar factor of the raw overlap times the gauge of frame k: one
+    batched polar call and a chain of K x K products give every gauge.
+    Returns the aligned frames and the smallest singular value of every
+    overlap.
+    """
+    polars, smins = polar_unitary(_adjoint(frames[1:]) @ frames[:-1])
+    out = frames.copy()
+    eye = np.eye(frames.shape[2], dtype=np.complex128)
+    g = eye
+    for k in range(frames.shape[0] - 2):
+        g = polars[k] @ g if smins[k] > 1e-12 else eye
+        out[k + 1] = frames[k + 1] @ g
+    return out, smins
 
 
-USING_NUMBA = HAVE_NUMBA and not _env_pure()
-
-active_kernels = get_numba_kernels() if USING_NUMBA else numpy_kernels
-
-jacobi_eigh = active_kernels["jacobi_eigh"]
-eigh_batch = active_kernels["eigh_batch"]
-polar_unitary = active_kernels["polar_unitary"]
-align_frames = active_kernels["align_frames"]
-overlap_smins = active_kernels["overlap_smins"]
-chain_product = active_kernels["chain_product"]
-propagate = active_kernels["propagate"]
+def overlap_smins(frames):
+    """Smallest singular value of every consecutive overlap F_k^H F_{k+1}."""
+    o = _adjoint(frames[:-1]) @ frames[1:]
+    return np.linalg.svd(o, compute_uv=False)[:, -1]
 
 
-def warmup():
-    """Trigger JIT compilation on tiny inputs (no-op on the numpy path)."""
-    h = np.array([[1.0, 0.2 + 0.1j], [0.2 - 0.1j, -1.0]], np.complex128)
-    jacobi_eigh(h)
-    eigh_batch(h[None, :, :])
-    polar_unitary(h)
-    f = np.stack([np.eye(2, dtype=np.complex128)] * 3)
-    align_frames(f)
-    overlap_smins(f)
-    chain_product(f)
-    propagate(h[None, :, :], 0.1, np.array([1.0 + 0j, 0.0]))
+def chain_product(mats):
+    """Ordered product mats[0] @ mats[1] @ ... @ mats[-1]."""
+    p = np.eye(mats.shape[1], dtype=np.complex128)
+    for m in mats:
+        p = p @ m
+    return p
+
+
+def propagate(h_mid, dt, psi0):
+    """States (M+1, n) and cumulative propagators (M+1, n, n) of one
+    midpoint-exponential step per interval.
+
+    Each step U_k = exp(-i H_k dt) comes from an exact diagonalization of
+    its midpoint Hamiltonian, so every step is unitary to rounding.
+    """
+    w, v = np.linalg.eigh(h_mid)
+    steps = (v * np.exp(w * (-1j * dt))[:, None, :]) @ _adjoint(v)
+    del w, v  # free the eigenbases before the propagator stack is allocated
+    n = psi0.shape[0]
+    props = np.empty((h_mid.shape[0] + 1, n, n), np.complex128)
+    props[0] = np.eye(n)
+    for k, step in enumerate(steps):
+        np.matmul(step, props[k], out=props[k + 1])
+    return props @ psi0, props

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .holonomy import FramePath, berry_phase, connection_samples, sample_frames
-
-TWO_PI = 2.0 * np.pi
+from .linalg import TWO_PI
 
 
 def torus_inner(a, b):

@@ -13,7 +13,6 @@ import inspect
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
 import numpy as np
@@ -159,12 +158,8 @@ def _emit(text, output):
         sys.stdout.write(text)
 
 
-def _run_many(names, config, overrides, parallel):
+def _run_many(names, config, overrides):
     jobs = [(n, build_kwargs(n, config, overrides)) for n in names]
-    if parallel and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
-            futs = [pool.submit(EXPERIMENTS[n], **kw) for n, kw in jobs]
-            return [f.result() for f in futs]
     return [EXPERIMENTS[n](**kw) for n, kw in jobs]
 
 
@@ -197,8 +192,6 @@ def main(argv=None):
     p_run.add_argument("--steps", type=int, help="override the step count")
     p_run.add_argument("--tol", type=float, help="override the main tolerance")
     p_run.add_argument("--seed", type=int, help="override the sweep seed")
-    p_run.add_argument("--parallel", action="store_true",
-                       help="run the requested experiments in parallel threads")
 
     sub.add_parser("list", help="list experiment names")
 
@@ -206,7 +199,6 @@ def main(argv=None):
         "check", help="run every experiment and report pass/fail per name"
     )
     p_check.add_argument("--config", help="INI file with per-experiment sections")
-    p_check.add_argument("--parallel", action="store_true")
 
     args = parser.parse_args(argv)
 
@@ -221,14 +213,14 @@ def main(argv=None):
         if args.command == "run":
             names = _resolve_names(args.experiments)
             overrides = {"steps": args.steps, "tol": args.tol, "seed": args.seed}
-            runs = _run_many(names, config, overrides, args.parallel)
+            runs = _run_many(names, config, overrides)
             if args.format == "json":
                 _emit(render_json(runs, args.config), args.output)
             else:
                 _emit(render_csv(runs), args.output)
             return 0 if all(r["converged"] for r in runs) else 1
 
-        runs = _run_many(list(EXPERIMENTS), config, {}, args.parallel)
+        runs = _run_many(list(EXPERIMENTS), config, {})
         failed = [r for r in runs if not r["converged"]]
         for r in runs:
             worst = 0.0

@@ -7,7 +7,6 @@ import math
 
 import numpy as np
 
-from . import _kernels
 from .action import as_frame_path, torus_connection, torus_path, torus_phase
 from .evolution import aa_phase, evolve
 from .holonomy import (
@@ -21,7 +20,7 @@ from .holonomy import (
     unitary_eigenphases,
     wilson_loop,
 )
-from .linalg import circular_distance
+from .linalg import TWO_PI, circular_distance
 from .models import (
     ActionRingBlock,
     RotatingRingBlock,
@@ -29,8 +28,6 @@ from .models import (
     StaticRingBlock,
 )
 from .ringstate import RingState, assembled_evolve, blockwise_evolve
-
-TWO_PI = 2.0 * math.pi
 
 
 def _frame_path(model, steps, column=None):
@@ -175,9 +172,8 @@ def run_ring_rotating(n=(0, 1, 2), eps=(0.5, 0.3), chi=(math.pi / 3, math.pi / 6
         spread = 0.0
         for g in gammas[1:]:
             spread = max(spread, float(np.max(np.abs(g - gammas[0]))))
-        gw, _gv = _kernels.jacobi_eigh(np.ascontiguousarray(gammas[0]))
         r["gamma"] = gammas[0]
-        r["gamma_eigenvalues"] = np.sort(gw)
+        r["gamma_eigenvalues"] = np.linalg.eigvalsh(gammas[0])
         r["block_spread"] = spread
         m0 = RotatingRingBlock(n=n[0], omega=omega, eps=e, chi=c, omega_o=omega_o)
         results[key] = r

@@ -162,8 +162,6 @@ def sample_frames(source, steps=4096, period=None, align=None, closure_tol=1e-8)
 def _eigenframes(source, grid):
     family = source.family
     ws, vs = _kernels.eigh_batch(family.sample(grid))
-    order = np.argsort(ws, axis=1, kind="stable")
-    ws = np.take_along_axis(ws, order, axis=1)
     groups0 = group_degenerate(ws[0], rel_tol=source.rel_tol)
     if not 0 <= source.group < len(groups0):
         raise ValueError(
@@ -171,8 +169,6 @@ def _eigenframes(source, grid):
             f"degenerate clusters at t=0"
         )
     sizes0 = [g.stop - g.start for g in groups0]
-    sel = groups0[source.group]
-    frames = np.empty((grid.size, vs.shape[1], sel.stop - sel.start), np.complex128)
     for k in range(grid.size):
         gk = group_degenerate(ws[k], rel_tol=source.rel_tol)
         if [g.stop - g.start for g in gk] != sizes0:
@@ -180,7 +176,7 @@ def _eigenframes(source, grid):
                 f"degenerate cluster structure changed at t={grid[k]:.6g}: "
                 f"{[g.stop - g.start for g in gk]} vs {sizes0} at t=0"
             )
-        frames[k] = vs[k][:, order[k]][:, sel]
+    frames = np.ascontiguousarray(vs[:, :, groups0[source.group]])
     p0 = frames[0] @ frames[0].conj().T
     pM = frames[-1] @ frames[-1].conj().T
     defect = float(np.max(np.abs(pM - p0)))
@@ -210,24 +206,20 @@ def connection_samples(path):
                 "refine the grid"
             )
         return (-np.angle(o[:, 0, 0]))[:, None, None].astype(np.complex128)
-    out = np.empty_like(o)
-    for k in range(o.shape[0]):
-        u, smin = _kernels.polar_unitary(np.ascontiguousarray(o[k]))
-        if smin <= 0.5:
-            raise GridTooCoarseError(
-                f"overlap at interval {k} is nearly singular (smin {smin:.3f}), "
-                "refine the grid"
-            )
-        try:
-            w = matrix_log_unitary(u)
-        except BranchCutError as e:
-            raise GridTooCoarseError(
-                f"connection sample at interval {k} hits the log branch cut, "
-                "refine the grid"
-            ) from e
-        a = 1j * w
-        out[k] = 0.5 * (a + a.conj().T)
-    return out
+    u, smins = _kernels.polar_unitary(o)
+    k = int(np.argmin(smins))
+    if smins[k] <= 0.5:
+        raise GridTooCoarseError(
+            f"overlap at interval {k} is nearly singular (smin {smins[k]:.3f}), "
+            "refine the grid"
+        )
+    try:
+        # the log is exactly skew-Hermitian, so i * log is exactly Hermitian
+        return 1j * matrix_log_unitary(u)
+    except BranchCutError as e:
+        raise GridTooCoarseError(
+            f"a connection sample hits the log branch cut ({e}), refine the grid"
+        ) from e
 
 
 def phase_matrix(path):
@@ -323,14 +315,13 @@ def holonomy_report(path, estimate_convergence=True):
     """All loop quantities of one path in one dict, plus a step-halving
     shift estimate when the grid allows it."""
     gamma = phase_matrix(path)
-    gamma_w, _gv = _kernels.jacobi_eigh(np.ascontiguousarray(gamma))
     w = wilson_loop(path)
     rep = {
         "steps": path.steps,
         "nvec": path.nvec,
         "closure_defect": path.closure_defect,
         "gamma": gamma,
-        "gamma_eigenvalues": np.sort(gamma_w),
+        "gamma_eigenvalues": np.linalg.eigvalsh(gamma),
         "wilson": w,
         "wilson_eigenphases": unitary_eigenphases(w),
         "berry": berry_phase(path) if path.nvec == 1 else None,

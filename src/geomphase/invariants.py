@@ -39,19 +39,11 @@ def invariance_residual(hamiltonian, invariant, times=None, n_times=100, step=No
     return float(np.sqrt(np.max(np.sum(np.abs(resid) ** 2, axis=(1, 2)))))
 
 
-def _sorted_spectra(family, times):
-    ws, vs = _kernels.eigh_batch(family.sample(times))
-    order = np.argsort(ws, axis=1, kind="stable")
-    ws = np.take_along_axis(ws, order, axis=1)
-    vs = np.stack([vs[k][:, order[k]] for k in range(ws.shape[0])])
-    return ws, vs
-
-
 def eigenvalue_drift(invariant, times=None, n_times=100):
     """max over times and levels of |lambda_j(t) - lambda_j(0)|."""
     if times is None:
         times = _default_times(invariant, n_times)
-    ws, _vs = _sorted_spectra(invariant, np.asarray(times, dtype=float))
+    ws, _vs = _kernels.eigh_batch(invariant.sample(np.asarray(times, dtype=float)))
     return float(np.max(np.abs(ws - ws[0])))
 
 
@@ -67,7 +59,7 @@ def transport_error(hamiltonian, invariant, steps=4096, duration=None,
         psi0 = np.zeros(hamiltonian.dim, dtype=np.complex128)
         psi0[0] = 1.0
     traj = evolve(hamiltonian, psi0, steps=steps, duration=duration)
-    ws, vs = _sorted_spectra(invariant, traj.times)
+    ws, vs = _kernels.eigh_batch(invariant.sample(traj.times))
     groups = group_degenerate(ws[0], rel_tol=rel_tol)
     sizes0 = [g.stop - g.start for g in groups]
     gaps = np.diff([0.5 * (ws[0][g.start] + ws[0][g.stop - 1]) for g in groups])
@@ -101,9 +93,7 @@ def decompose_state(invariant, t, psi, rel_tol=1e-8):
     the squared norm of the state.
     """
     psi = np.asarray(psi, dtype=np.complex128)
-    w, v = _kernels.jacobi_eigh(np.ascontiguousarray(invariant(t)))
-    order = np.argsort(w, kind="stable")
-    w, v = w[order], v[:, order]
+    w, v = np.linalg.eigh(invariant(t))
     out = []
     for g in group_degenerate(w, rel_tol=rel_tol):
         amp = v[:, g].conj().T @ psi

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from ._kernels import _adjoint
 from .errors import (
     BranchCutError,
     HermiticityError,
@@ -49,8 +50,7 @@ def require_hermitian(m, tol=1e-10, name="matrix"):
 
 def require_unitary(m, tol=1e-10, name="matrix"):
     m = np.asarray(m)
-    n = m.shape[0]
-    defect = np.max(np.abs(m.conj().T @ m - np.eye(n)))
+    defect = np.max(np.abs(_adjoint(m) @ m - np.eye(m.shape[-1])))
     if defect > tol:
         raise UnitarityError(
             f"{name} is not unitary: max |M^H M - I| = {defect:.3e} > {tol:.1e}"
@@ -119,9 +119,8 @@ def eigh(h, tol=1e-10):
     calls on the same matrix give identical frames.
     """
     h = require_hermitian(np.asarray(h, dtype=np.complex128), tol=tol)
-    w, v = _kernels.jacobi_eigh(np.ascontiguousarray(h))
-    order = np.argsort(w, kind="stable")
-    return w[order], Frame(_fix_column_phases(v[:, order]))
+    w, v = np.linalg.eigh(h)
+    return w, Frame(_fix_column_phases(v))
 
 
 def group_degenerate(w, rel_tol=1e-8):
@@ -149,49 +148,41 @@ def unitary_exp(a, tol=1e-10):
         raise SkewHermiticityError(
             f"matrix is not skew-Hermitian: max |A + A^H| = {defect:.3e} > {tol:.1e}"
         )
-    h = np.ascontiguousarray((-1j * a + (-1j * a).conj().T) / 2)
-    w, v = _kernels.jacobi_eigh(h)
-    vh = v.conj().T
-    return (v * np.exp(1j * w)) @ vh
+    w, v = np.linalg.eigh((-1j * a + (-1j * a).conj().T) / 2)
+    return (v * np.exp(1j * w)) @ v.conj().T
 
 
 def unitary_eigenphases(u, tol=1e-8):
     """Sorted eigenphases of a unitary matrix, each in (-pi, pi]."""
     u = require_unitary(np.asarray(u, dtype=np.complex128), tol=tol)
-    d, _v = _diagonalize_unitary(u)
-    return np.sort(np.angle(d))
+    return np.sort(np.angle(np.linalg.eigvals(u)))
 
 
 def _diagonalize_unitary(u):
-    # Two Hermitian stages: cos-part first, then the sin-part restricted
-    # to each cos-degenerate cluster. Works because U is normal, so the
-    # Hermitian and anti-Hermitian parts commute and share eigenvectors.
-    # The wide cluster tolerance is deliberate: eigenphases near 0 or pi
-    # have cos gaps quadratic in the phase gap, and resolving them in the
-    # cos stage alone would cost eps over that squared gap in accuracy.
-    # Inside a cluster the sin gap is linear, so stage two is cheap and
-    # sharp; phase pairs unresolved by both stages are themselves equal
-    # to within the tolerances, so their mixing is harmless in the log.
-    n = u.shape[0]
-    c = np.ascontiguousarray((u + u.conj().T) / 2)
-    wc, v = _kernels.jacobi_eigh(c)
-    order = np.argsort(wc, kind="stable")
-    wc, v = wc[order], v[:, order]
-    s = (u - u.conj().T) / 2j
-    for grp in group_degenerate(wc, rel_tol=1e-4):
-        if grp.stop - grp.start < 2:
-            continue
-        vg = v[:, grp]
-        sg = np.ascontiguousarray(vg.conj().T @ s @ vg)
-        sg = (sg + sg.conj().T) / 2
-        _ws, q = _kernels.jacobi_eigh(sg)
-        v[:, grp] = vg @ q
-    d = np.einsum("ij,ik,kj->j", v.conj(), u, v)
+    # One Hermitian eigensolve of the Cayley transform C = i(I-W)(I+W)^-1
+    # of W = e^{-i phi} U, whose eigenvalues tan(alpha/2) map the
+    # eigenphases alpha of W one to one onto the line. The shift puts the
+    # cut alpha = +-pi in the middle of the widest gap between the
+    # eigenphases of U, so I+W is never close to singular and C stays
+    # well conditioned. Unlike the cos or sin part of U alone, C keeps
+    # near-degenerate phase pairs apart linearly in their gap anywhere on
+    # the circle. Works on one matrix or a stack.
+    n = u.shape[-1]
+    rough = np.sort(np.angle(np.linalg.eigvals(u)), axis=-1)
+    gaps = np.diff(rough, axis=-1, append=rough[..., :1] + TWO_PI)
+    widest = np.argmax(gaps, axis=-1)[..., None]
+    phi = np.take_along_axis(rough + gaps / 2, widest, axis=-1) + np.pi
+    w = np.exp(-1j * phi)[..., None] * u
+    eye = np.eye(n)
+    c = 1j * np.linalg.solve(eye + w, eye - w)
+    t, v = np.linalg.eigh((c + _adjoint(c)) / 2)
+    d = np.exp(1j * phi) * (1 + 1j * t) / (1 - 1j * t)
     return d, v
 
 
 def matrix_log_unitary(u, branch_tol=1e-6, allow_branch_cut=False, tol=1e-8):
-    """Principal skew-Hermitian logarithm of a unitary matrix.
+    """Principal skew-Hermitian logarithm of a unitary matrix, or of each
+    matrix of a stack (..., n, n).
 
     Eigenphases land in (-pi, pi]. An eigenphase within branch_tol of the
     cut at pi is refused unless allow_branch_cut is set, because a phase
@@ -199,7 +190,7 @@ def matrix_log_unitary(u, branch_tol=1e-6, allow_branch_cut=False, tol=1e-8):
     """
     u = require_unitary(np.asarray(u, dtype=np.complex128), tol=tol, name="log argument")
     d, v = _diagonalize_unitary(u)
-    resid = np.max(np.abs(u @ v - v * d))
+    resid = np.max(np.abs(u @ v - v * d[..., None, :]))
     if resid > 1e-7:
         raise UnitarityError(
             f"unitary diagonalization failed: eigen residual {resid:.3e}"
@@ -207,14 +198,15 @@ def matrix_log_unitary(u, branch_tol=1e-6, allow_branch_cut=False, tol=1e-8):
     theta = np.angle(d)
     if not allow_branch_cut:
         near = np.pi - np.abs(theta)
-        k = int(np.argmin(near))
+        k = np.unravel_index(np.argmin(near), near.shape)
         if near[k] < branch_tol:
+            where = f" of matrix {[int(i) for i in k[:-1]]}" if u.ndim > 2 else ""
             raise BranchCutError(
-                f"eigenphase {theta[k]:+.9f} of eigenvalue {d[k]:.9f} lies within "
-                f"{branch_tol:.1e} of the log branch cut at pi"
+                f"eigenphase {theta[k]:+.9f} of eigenvalue {d[k]:.9f}{where} lies "
+                f"within {branch_tol:.1e} of the log branch cut at pi"
             )
-    log = (v * (1j * theta)) @ v.conj().T
-    return (log - log.conj().T) / 2
+    log = (v * (1j * theta)[..., None, :]) @ _adjoint(v)
+    return (log - _adjoint(log)) / 2
 
 
 def polar_unitary(m, min_sv=1e-12):

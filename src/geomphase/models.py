@@ -15,14 +15,12 @@ import math
 import numpy as np
 
 from .errors import DegenerateMixingError
-from .linalg import require_hermitian
+from .linalg import TWO_PI, require_hermitian
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 ID2 = np.eye(2, dtype=np.complex128)
-
-TWO_PI = 2.0 * math.pi
 
 
 class OperatorFamily:
@@ -184,6 +182,19 @@ def _ring_mixing(eps, chi):
     return delta, g, s, theta_mix
 
 
+def _band_frame(block, theta):
+    """Instantaneous band vectors of a ring block at winding phase theta,
+    upper first."""
+    cm, sm = math.cos(block.theta_mix), math.sin(block.theta_mix)
+    ph = np.exp(-1j * np.asarray(theta, dtype=float))
+    f = np.empty(np.shape(theta) + (2, 2), dtype=np.complex128)
+    f[..., 0, 0] = cm
+    f[..., 1, 0] = ph * sm
+    f[..., 0, 1] = -sm
+    f[..., 1, 1] = ph * cm
+    return f
+
+
 def coupling_matrix(delta, g, theta=0.0):
     """The 2x2 band-coupling matrix at winding phase theta."""
     e = np.exp(1j * theta)
@@ -328,16 +339,7 @@ class RotatingRingBlock:
             "adiabatic_minus": "pi*(1 + cos(2*mix))",
         }
 
-    def band_frame(self, theta):
-        """Instantaneous band vectors at winding phase theta, upper first."""
-        cm, sm = math.cos(self.theta_mix), math.sin(self.theta_mix)
-        ph = np.exp(-1j * np.asarray(theta, dtype=float))
-        f = np.empty(np.shape(theta) + (2, 2), dtype=np.complex128)
-        f[..., 0, 0] = cm
-        f[..., 1, 0] = ph * sm
-        f[..., 0, 1] = -sm
-        f[..., 1, 1] = ph * cm
-        return f
+    band_frame = _band_frame
 
     def frame(self, t):
         return self.band_frame(self.omega_o * t)
@@ -389,15 +391,7 @@ class ActionRingBlock:
     def operator(self, theta):
         return (self.n + 0.5) * ID2 - 0.5 * coupling_matrix(self.delta, self.g, theta)
 
-    def band_frame(self, theta):
-        cm, sm = math.cos(self.theta_mix), math.sin(self.theta_mix)
-        ph = np.exp(-1j * np.asarray(theta, dtype=float))
-        f = np.empty(np.shape(theta) + (2, 2), dtype=np.complex128)
-        f[..., 0, 0] = cm
-        f[..., 1, 0] = ph * sm
-        f[..., 0, 1] = -sm
-        f[..., 1, 1] = ph * cm
-        return f
+    band_frame = _band_frame
 
     def torus_state(self, branch, theta):
         """Spinor wavefunction samples on the angle grid, shape (n_phi, 2).

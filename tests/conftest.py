@@ -1,14 +1,6 @@
 import numpy as np
 import pytest
 
-import geomphase
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # Pay the jit compilation cost once, before anything is timed.
-    geomphase.warmup()
-
 
 @pytest.fixture
 def rng():

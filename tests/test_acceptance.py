@@ -8,7 +8,6 @@ import time
 import numpy as np
 import pytest
 
-import geomphase
 from geomphase import (
     RotatingRingBlock,
     SpinHalf,
@@ -48,7 +47,6 @@ def _frame_path(model, steps, column):
 
 
 def test_criterion_01_spin_loop_phases():
-    geomphase.warmup()
     worst_dev, worst_time = 0.0, 0.0
     for theta in (0.0, math.pi / 6, math.pi / 4, math.pi / 3):
         m = SpinHalf(theta=theta)

@@ -120,7 +120,7 @@ def test_run_parallel_two_experiments(tmp_path):
     cfg.write_text("[common]\nsteps = 256\ntol = 1e-3\n[ring-static]\nn = 0\n")
     out = tmp_path / "a.json"
     code = main(["run", "spin", "ring-static", "--config", str(cfg),
-                 "--parallel", "--output", str(out)])
+                 "--output", str(out)])
     assert code == 0
     d = json.loads(out.read_text())
     assert [r["experiment"] for r in d["runs"]] == ["spin", "ring-static"]

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from geomphase import (
     DegeneracySplitError,
@@ -79,6 +80,18 @@ def test_connection_samples_analytic_spin():
     assert a.shape == (steps, 1, 1)
     assert np.max(np.abs(a.real - want)) < 5e-8
     assert np.max(np.abs(a.imag)) < 1e-15
+
+
+def test_connection_samples_match_scipy_per_interval(rng):
+    # the batched samples against scipy's polar factor and matrix log,
+    # one interval at a time, on a gauge-scrambled degenerate pair
+    path, _m = rotating_path(steps=256)
+    path = gauge_transform(path, random_unitary_gauge(rng, 257, 2, amplitude=0.8))
+    a = connection_samples(path)
+    o = path.overlaps()
+    for k in range(path.steps):
+        u, _p = scipy.linalg.polar(o[k])
+        assert np.max(np.abs(a[k] - 1j * scipy.linalg.logm(u))) < 1e-12
 
 
 @pytest.mark.parametrize("theta", [0.0, math.pi / 6, math.pi / 4, math.pi / 3])

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geomphase import (
     BranchCutError,
@@ -106,6 +109,17 @@ def test_unitary_eigenphases_recovers_diagonal(rng):
     assert np.max(np.abs(np.sort(got) - phases)) < 1e-12
 
 
+def test_unitary_eigenphases_match_numpy_eigvals(rng):
+    for n in (1, 2, 3, 5, 8):
+        for _ in range(10):
+            u = random_unitary(rng, n)
+            got = unitary_eigenphases(u)
+            want = np.sort(np.angle(np.linalg.eigvals(u)))
+            assert np.max(np.abs(got - want)) < 1e-13
+            assert np.all(np.diff(got) >= 0)
+            assert np.all((got > -math.pi) & (got <= math.pi))
+
+
 def test_matrix_log_roundtrip(rng):
     for n in (2, 3, 5):
         u = random_unitary(rng, n)
@@ -124,6 +138,30 @@ def test_matrix_log_hard_pairs(rng):
             u = g @ np.diag(np.exp(1j * phases)) @ g.conj().T
             a = matrix_log_unitary(u)
             assert np.max(np.abs(unitary_exp(a) - u)) < 5e-13
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    base=st.sampled_from([0.0, math.pi / 2, 3.0, math.pi - 1e-9]),
+    gap=st.one_of(st.just(0.0), st.floats(min_value=1e-15, max_value=1e-3)),
+    other=st.floats(min_value=-3.1, max_value=3.1),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_matrix_log_near_degenerate_property(base, gap, other, seed):
+    # a near-degenerate phase pair in a random basis, next to one free
+    # phase; the pair at pi - 1e-9 sits inside the branch-cut margin, so
+    # only allow_branch_cut may take its log
+    phases = np.array([base, base - gap, other])
+    g = random_unitary(np.random.default_rng(seed), 3)
+    u = g @ np.diag(np.exp(1j * phases)) @ g.conj().T
+    at_cut = base > 3.1
+    if at_cut:
+        with pytest.raises(BranchCutError):
+            matrix_log_unitary(u)
+    a = matrix_log_unitary(u, allow_branch_cut=at_cut)
+    assert np.max(np.abs(a + a.conj().T)) < 1e-13
+    assert np.max(np.abs(unitary_exp(a) - u)) <= 5e-13
+    assert np.max(np.abs(a - scipy.linalg.logm(u))) < 1e-12
 
 
 def test_matrix_log_branch_cut():
