@@ -38,17 +38,21 @@ def align_frames(frames):
     of a closed path is identified with the start). Since
     polar(A G) = polar(A) G for unitary G, the gauge of frame k+1 is the
     polar factor of the raw overlap times the gauge of frame k: one
-    batched polar call and a chain of K x K products give every gauge.
+    batched polar call and a chain of K x K products give every gauge,
+    and one batched product applies them.
     Returns the aligned frames and the smallest singular value of every
     overlap.
     """
     polars, smins = polar_unitary(_adjoint(frames[1:]) @ frames[:-1])
-    out = frames.copy()
     eye = np.eye(frames.shape[2], dtype=np.complex128)
+    gs = np.empty((frames.shape[0] - 2,) + eye.shape, dtype=np.complex128)
     g = eye
-    for k in range(frames.shape[0] - 2):
+    for k in range(gs.shape[0]):
         g = polars[k] @ g if smins[k] > 1e-12 else eye
-        out[k + 1] = frames[k + 1] @ g
+        gs[k] = g
+    out = np.empty_like(frames)
+    out[0], out[-1] = frames[0], frames[-1]
+    np.matmul(frames[1:-1], gs, out=out[1:-1])
     return out, smins
 
 

@@ -40,10 +40,7 @@ def torus_path(block, branch, steps=4096):
     """Sample one band eigenfunction of an ActionRingBlock around the
     winding direction, theta from 0 to 2*pi inclusive."""
     thetas = np.linspace(0.0, TWO_PI, steps + 1)
-    values = np.empty((steps + 1, block.n_phi, 2), dtype=np.complex128)
-    for k, th in enumerate(thetas):
-        values[k] = block.torus_state(branch, th)
-    return TorusPath(thetas, values)
+    return TorusPath(thetas, block.torus_state(branch, thetas))
 
 
 def as_frame_path(tp, norm_tol=1e-6):

@@ -22,6 +22,7 @@ from .errors import (
     UnitarityError,
 )
 from .linalg import (
+    _first_structure_break,
     circular_distance,
     group_degenerate,
     matrix_log_unitary,
@@ -169,13 +170,13 @@ def _eigenframes(source, grid):
             f"degenerate clusters at t=0"
         )
     sizes0 = [g.stop - g.start for g in groups0]
-    for k in range(grid.size):
+    k = _first_structure_break(ws, rel_tol=source.rel_tol)
+    if k is not None:
         gk = group_degenerate(ws[k], rel_tol=source.rel_tol)
-        if [g.stop - g.start for g in gk] != sizes0:
-            raise DegeneracySplitError(
-                f"degenerate cluster structure changed at t={grid[k]:.6g}: "
-                f"{[g.stop - g.start for g in gk]} vs {sizes0} at t=0"
-            )
+        raise DegeneracySplitError(
+            f"degenerate cluster structure changed at t={grid[k]:.6g}: "
+            f"{[g.stop - g.start for g in gk]} vs {sizes0} at t=0"
+        )
     frames = np.ascontiguousarray(vs[:, :, groups0[source.group]])
     p0 = frames[0] @ frames[0].conj().T
     pM = frames[-1] @ frames[-1].conj().T
@@ -304,9 +305,7 @@ def random_unitary_gauge(rng, size, nvec, modes=3, amplitude=0.5):
             h = rng.uniform(-1, 1, (nvec, nvec)) + 1j * rng.uniform(-1, 1, (nvec, nvec))
             h = 0.5 * (h + h.conj().T) * (amplitude / modes)
             field += wave[:, None, None] * h
-    g = np.empty_like(field)
-    for k in range(size):
-        g[k] = unitary_exp(1j * field[k])
+    g = unitary_exp(1j * field)
     g[-1] = g[0]
     return g
 

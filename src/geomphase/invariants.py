@@ -7,9 +7,10 @@ actual propagator.
 import numpy as np
 
 from . import _kernels
+from ._kernels import _adjoint
 from .errors import TrackingAmbiguityError
 from .evolution import evolve
-from .linalg import group_degenerate
+from .linalg import _first_structure_break, group_degenerate
 
 
 def _default_times(family, n_times):
@@ -65,24 +66,34 @@ def transport_error(hamiltonian, invariant, steps=4096, duration=None,
     gaps = np.diff([0.5 * (ws[0][g.start] + ws[0][g.stop - 1]) for g in groups])
     min_gap = float(np.min(gaps)) if gaps.size else np.inf
 
+    # the first offending time wins; at that time a structure change is
+    # reported before lost tracking
+    broken = _first_structure_break(ws, rel_tol=rel_tol)
+    starts = [g.start for g in groups]
+    moved = np.abs(ws[:, starts] - ws[0, starts])
+    far = moved > 0.25 * min_gap
+    lost = np.flatnonzero(np.any(far, axis=1))
+    if broken is not None and (lost.size == 0 or broken <= lost[0]):
+        gk = group_degenerate(ws[broken], rel_tol=rel_tol)
+        raise TrackingAmbiguityError(
+            f"degenerate group structure changed at t={traj.times[broken]:.6g}: "
+            f"{[g.stop - g.start for g in gk]} vs {sizes0} at t=0"
+        )
+    if lost.size:
+        k = lost[0]
+        j = np.argmax(far[k])
+        raise TrackingAmbiguityError(
+            f"eigenvalue tracking lost at t={traj.times[k]:.6g}: level "
+            f"moved by {moved[k, j]:.3e}"
+        )
+
     worst = 0.0
-    for k in range(traj.times.size):
-        gk = group_degenerate(ws[k], rel_tol=rel_tol)
-        if [g.stop - g.start for g in gk] != sizes0:
-            raise TrackingAmbiguityError(
-                f"degenerate group structure changed at t={traj.times[k]:.6g}: "
-                f"{[g.stop - g.start for g in gk]} vs {sizes0} at t=0"
-            )
-        for g in groups:
-            if abs(ws[k][g.start] - ws[0][g.start]) > 0.25 * min_gap:
-                raise TrackingAmbiguityError(
-                    f"eigenvalue tracking lost at t={traj.times[k]:.6g}: level "
-                    f"moved by {abs(ws[k][g.start] - ws[0][g.start]):.3e}"
-                )
-            carried = traj.propagators[k] @ vs[0][:, g]
-            fg = vs[k][:, g]
-            resid = carried - fg @ (fg.conj().T @ carried)
-            worst = max(worst, float(np.linalg.norm(resid)))
+    props = traj.propagators
+    for g in groups:
+        carried = props @ vs[0][:, g]
+        fg = vs[:, :, g]
+        resid = carried - fg @ (_adjoint(fg) @ carried)
+        worst = max(worst, float(np.max(np.linalg.norm(resid, axis=(1, 2)))))
     return worst
 
 

@@ -140,16 +140,36 @@ def group_degenerate(w, rel_tol=1e-8):
     return groups
 
 
+def _first_structure_break(ws, rel_tol=1e-8):
+    """First row of a stack of ascending spectra (M, n) whose degenerate
+    clusters differ from those of row 0, or None.
+
+    Row by row this is the split rule of group_degenerate, so a row breaks
+    exactly when its group sizes differ from those of row 0.
+    """
+    ws = np.asarray(ws, dtype=float)
+    scale = np.max(np.abs(ws), axis=1, initial=1.0)
+    splits = np.diff(ws, axis=1) > (rel_tol * scale)[:, None]
+    broken = np.flatnonzero(np.any(splits != splits[0], axis=1))
+    return int(broken[0]) if broken.size else None
+
+
 def unitary_exp(a, tol=1e-10):
-    """exp(A) for skew-Hermitian A, exactly unitary by spectral form."""
+    """exp(A) for skew-Hermitian A, or for each matrix of a stack
+    (..., n, n), exactly unitary by spectral form.
+
+    The skew-Hermiticity check covers the whole stack: one offending
+    matrix refuses the call.
+    """
     a = np.asarray(a, dtype=np.complex128)
-    defect = np.max(np.abs(a + a.conj().T)) if a.size else 0.0
+    defect = np.max(np.abs(a + _adjoint(a))) if a.size else 0.0
     if defect > tol:
         raise SkewHermiticityError(
             f"matrix is not skew-Hermitian: max |A + A^H| = {defect:.3e} > {tol:.1e}"
         )
-    w, v = np.linalg.eigh((-1j * a + (-1j * a).conj().T) / 2)
-    return (v * np.exp(1j * w)) @ v.conj().T
+    h = -1j * a
+    w, v = np.linalg.eigh((h + _adjoint(h)) / 2)
+    return (v * np.exp(1j * w)[..., None, :]) @ _adjoint(v)
 
 
 def unitary_eigenphases(u, tol=1e-8):

@@ -394,22 +394,25 @@ class ActionRingBlock:
     band_frame = _band_frame
 
     def torus_state(self, branch, theta):
-        """Spinor wavefunction samples on the angle grid, shape (n_phi, 2).
+        """Spinor wavefunction samples on the angle grid at winding phase
+        theta, a scalar or an array: shape theta.shape + (n_phi, 2).
 
         Normalized for the mean-over-grid inner product: modes n and n+1
         are exactly orthonormal on any grid with n_phi > |n| + 1 points.
         """
         col = _branch_column(branch)
         cm, sm = math.cos(self.theta_mix), math.sin(self.theta_mix)
-        up = np.exp(1j * self.n * self.phi_grid)
-        dn = np.exp(1j * ((self.n + 1) * self.phi_grid - theta))
-        out = np.empty((self.n_phi, 2), dtype=np.complex128)
-        if col == 0:
-            out[:, 0] = cm * up
-            out[:, 1] = sm * dn
-        else:
-            out[:, 0] = -sm * up
-            out[:, 1] = cm * dn
+        a, b = (cm, sm) if col == 0 else (-sm, cm)
+        theta = np.asarray(theta, dtype=float)
+        out = np.empty(theta.shape + (self.n_phi, 2), dtype=np.complex128)
+        out[..., 0] = a * np.exp(1j * self.n * self.phi_grid)
+        # the lower component exp(i((n+1) phi - theta)) is built in place,
+        # so a whole path of samples allocates nothing beyond its output
+        dn = out[..., 1]
+        dn.real = 0.0
+        np.subtract((self.n + 1) * self.phi_grid, theta[..., None], out=dn.imag)
+        np.exp(dn, out=dn)
+        dn *= b
         return out
 
 

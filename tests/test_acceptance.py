@@ -5,7 +5,6 @@ is a release decision, not a test edit."""
 import math
 import time
 
-import numpy as np
 import pytest
 
 from geomphase import (
@@ -18,10 +17,10 @@ from geomphase import (
     eigenvalue_drift,
     evolve,
     invariance_residual,
-    sample_frames,
     transport_error,
 )
 from geomphase.experiments import (
+    _frame_path,
     run_convergence,
     run_direct_sum,
     run_gauge_sweep,
@@ -36,14 +35,6 @@ M = 4096
 def _verdict(num, ok, text):
     print(f"\n[{'PASS' if ok else 'FAIL'}] criterion {num:2d}: {text}")
     assert ok, f"criterion {num}: {text}"
-
-
-def _frame_path(model, steps, column):
-    grid = np.linspace(0.0, model.period, steps + 1)
-    frames = model.frame_batch(grid)
-    if column is not None:
-        frames = frames[:, :, column:column + 1]
-    return sample_frames(frames, period=model.period)
 
 
 def test_criterion_01_spin_loop_phases():

@@ -24,6 +24,17 @@ def test_torus_inner_normalization():
     assert abs(torus_inner(psi, psi) - 1.0) < 1e-13
 
 
+def test_torus_state_array_matches_scalar_calls():
+    b = ActionRingBlock(n=2, n_phi=32)
+    thetas = np.linspace(0.0, 2 * math.pi, 33).reshape(3, 11)
+    for branch in ("+", "-"):
+        psi = b.torus_state(branch, thetas)
+        assert psi.shape == (3, 11, 32, 2)
+        for idx in np.ndindex(thetas.shape):
+            assert np.array_equal(psi[idx], b.torus_state(branch, thetas[idx]))
+            assert np.array_equal(psi[idx], b.torus_state(branch, float(thetas[idx])))
+
+
 def test_torus_branches_orthogonal():
     b = ActionRingBlock(n=2, n_phi=64)
     for theta in (0.0, 1.7):

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from geomphase import (
     NonCyclicError,
@@ -62,6 +63,30 @@ def test_rotating_ring_propagation(rng):
         want = rotating_exact(b, traj.times[k], psi0)
         err = max(err, float(np.max(np.abs(traj.states[k] - want))))
     assert err < 1e-6
+
+
+@pytest.mark.parametrize("ratio", [1e-2, 1e-3, 1e-4])
+def test_rotating_frame_propagator_oracle(ratio):
+    # H(t) = e^{-i w t G} H0 e^{i w t G} with G = diag(0, 1), so
+    # U(t) = e^{-i w t G} e^{-i (H0 - w G) t} exactly. The drive rate w is
+    # ratio times the level-splitting rate, as in the adiabatic runs.
+    probe = RotatingRingBlock(n=0, eps=0.5, chi=math.pi / 3, omega_o=1.0)
+    b = RotatingRingBlock(n=0, eps=0.5, chi=math.pi / 3,
+                          omega_o=ratio * probe.omega_ns)
+    w = b.omega_o
+    gen = np.diag([0.0, 1.0]).astype(complex)
+    h0 = b.hamiltonian(0.0)
+    # 25 periods of the level splitting, a small part of one rotation
+    traj = evolve(b.hamiltonian, b.state("+"), steps=4096,
+                  duration=50 * math.pi / probe.omega_ns)
+    t = traj.times
+    rot = np.exp(-1j * w * t)[:, None, None] * gen + (ID2 - gen)
+    hs = b.hamiltonian.sample(t)
+    assert np.max(np.abs(hs - rot @ h0 @ rot.conj().transpose(0, 2, 1))) < 1e-14
+    want = rot @ scipy.linalg.expm(-1j * (h0 - w * gen) * t[:, None, None])
+    # the midpoint step errs by the drift of H over a step, which is
+    # proportional to the drive rate (measured 0.91e-4 * ratio here)
+    assert np.max(np.abs(traj.propagators - want)) <= 2e-4 * ratio
 
 
 def test_norm_conserved(rng):

@@ -158,6 +158,25 @@ def test_eigenframe_source_static_ring():
                              b.references["berry_plus"]) < 1e-6
 
 
+def test_random_unitary_gauge_matches_pointwise_loop():
+    # the per-point construction: same draws in the same order, one
+    # exponential per grid point
+    size, nvec, modes, amplitude = 129, 3, 3, 0.7
+    rng = np.random.default_rng(7)
+    s = np.linspace(0.0, 1.0, size)
+    field = np.zeros((size, nvec, nvec), dtype=np.complex128)
+    for m in range(1, modes + 1):
+        for wave in (np.cos(2 * np.pi * m * s), np.sin(2 * np.pi * m * s)):
+            h = rng.uniform(-1, 1, (nvec, nvec)) + 1j * rng.uniform(-1, 1, (nvec, nvec))
+            h = 0.5 * (h + h.conj().T) * (amplitude / modes)
+            field += wave[:, None, None] * h
+    want = np.array([unitary_exp(1j * f) for f in field])
+    want[-1] = want[0]
+    got = random_unitary_gauge(np.random.default_rng(7), size, nvec,
+                               modes=modes, amplitude=amplitude)
+    assert np.max(np.abs(got - want)) <= 1e-14
+
+
 def test_gauge_covariance_of_loop_unitary(rng):
     path, _ = rotating_path(steps=1024)
     g = random_unitary_gauge(rng, path.steps + 1, 2, amplitude=0.7)
@@ -217,7 +236,9 @@ def test_eigenframe_split_grid_refused():
     # levels +-|cos t| merge mid-path: no consistent group to follow
     inv = trig_family(np.zeros((2, 2), dtype=complex), SIGMA_Z.copy(),
                       np.zeros((2, 2), dtype=complex), 1.0)
-    with pytest.raises((DegeneracySplitError, GridTooCoarseError)):
+    # at t = pi/2, on the grid, the levels coincide; the structure check
+    # runs before the overlap check and names that sample
+    with pytest.raises(DegeneracySplitError, match=r"changed at t=1\.5708:"):
         sample_frames(EigenframeSource(inv, group=0), steps=128)
 
 

@@ -14,6 +14,8 @@ from geomphase import (
     constant_family,
     decompose_state,
     eigenvalue_drift,
+    evolve,
+    group_degenerate,
     invariance_residual,
     transport_error,
     trig_family,
@@ -83,6 +85,51 @@ def test_tracking_ambiguity_on_level_crossing():
     h = constant_family(SIGMA_X.copy(), 2 * math.pi)
     with pytest.raises(TrackingAmbiguityError):
         transport_error(h, inv, steps=256)
+
+
+def _transport_error_loop(hamiltonian, invariant, steps, rel_tol=1e-8):
+    # the per-sample reference: one eigensolve and one projection per time
+    psi0 = np.zeros(hamiltonian.dim, dtype=np.complex128)
+    psi0[0] = 1.0
+    traj = evolve(hamiltonian, psi0, steps=steps)
+    w0, v0 = np.linalg.eigh(invariant(traj.times[0]))
+    worst = 0.0
+    for t, u in zip(traj.times, traj.propagators):
+        _w, v = np.linalg.eigh(invariant(t))
+        for g in group_degenerate(w0, rel_tol=rel_tol):
+            carried = u @ v0[:, g]
+            resid = carried - v[:, g] @ (v[:, g].conj().T @ carried)
+            worst = max(worst, float(np.linalg.norm(resid)))
+    return worst
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_transport_error_matches_per_sample_loop(n):
+    m = StaticRingBlock(n=n, cone=math.pi / 5)
+    got = transport_error(m.hamiltonian, m.invariant, steps=512)
+    want = _transport_error_loop(m.hamiltonian, m.invariant, steps=512)
+    assert abs(got - want) <= 1e-14
+
+
+def _diag_family(c0, c1, c2):
+    return trig_family(np.diag(c0).astype(complex), np.diag(c1).astype(complex),
+                       np.diag(c2).astype(complex), 1.0)
+
+
+@pytest.mark.parametrize("inv,first", [
+    # the pair 0, 0 splits at the first step; the top level has drifted
+    # by a quarter of the gap 10 only past t = pi/3
+    (_diag_family([0, 0, 15], [0, 0, -5], [0, 1, 0]),
+     "degenerate group structure changed at t=0.0245437:"),
+    # levels -|cos t|, |cos t|: they drift by a quarter of the gap 2 from
+    # t = pi/3 on and coincide only at t = pi/2
+    (_diag_family([0, 0], [1, -1], [0, 0]), "eigenvalue tracking lost at t=1.05538:"),
+], ids=["structure-first", "tracking-first"])
+def test_transport_error_reports_first_failure(inv, first):
+    h = constant_family(np.zeros((inv.dim, inv.dim), dtype=complex), 2 * math.pi)
+    with pytest.raises(TrackingAmbiguityError) as exc:
+        transport_error(h, inv, steps=256)
+    assert str(exc.value).startswith(first)
 
 
 def test_decompose_state_weights():

@@ -25,6 +25,7 @@ from geomphase import (
     unitary_eigenphases,
     unitary_exp,
 )
+from geomphase.linalg import _first_structure_break
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -86,6 +87,49 @@ def test_group_degenerate():
     assert groups == [slice(0, 2), slice(2, 3), slice(3, 6)]
 
 
+def _sizes(w, rel_tol):
+    return [g.stop - g.start for g in group_degenerate(w, rel_tol=rel_tol)]
+
+
+@st.composite
+def _spectra(draw):
+    # rows pinned at max|w| = top, built downward from gaps that are
+    # wide, exactly zero, or a relative 1e-6 below or above the cluster
+    # cut rel_tol * max(1, top); later rows copy row 0's gap kinds except
+    # for a few drawn changes
+    n = draw(st.integers(2, 5))
+    m = draw(st.integers(1, 6))
+    rel_tol = draw(st.sampled_from([1e-10, 1e-8, 1e-6]))
+    top = draw(st.floats(0.25, 1e3))
+    kinds = ("wide", "zero", "below", "above")
+    base = draw(st.lists(st.sampled_from(kinds), min_size=n - 1, max_size=n - 1))
+    rows = [list(base) for _ in range(m)]
+    for _ in range(draw(st.integers(0, 2))):
+        rows[draw(st.integers(0, m - 1))][draw(st.integers(0, n - 2))] = \
+            draw(st.sampled_from(kinds))
+    cut = rel_tol * max(1.0, top)
+    width = {"zero": 0.0, "below": cut * (1 - 1e-6), "above": cut * (1 + 1e-6)}
+    ws = np.empty((m, n))
+    for r, row in enumerate(rows):
+        ws[r, -1] = top
+        for i in range(n - 2, -1, -1):
+            kind = row[i]
+            gap = (draw(st.floats(0.01, 0.4)) * top / n if kind == "wide"
+                   else width[kind])
+            ws[r, i] = ws[r, i + 1] - gap
+    return ws, rel_tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(_spectra())
+def test_first_structure_break_matches_group_degenerate(case):
+    ws, rel_tol = case
+    sizes0 = _sizes(ws[0], rel_tol)
+    want = next((k for k in range(ws.shape[0])
+                 if _sizes(ws[k], rel_tol) != sizes0), None)
+    assert _first_structure_break(ws, rel_tol=rel_tol) == want
+
+
 def test_unitary_exp_taylor_oracle(rng):
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     # small enough that the dropped fifth-order term is < 1e-11
@@ -99,6 +143,25 @@ def test_unitary_exp_taylor_oracle(rng):
 def test_unitary_exp_rejects_non_skew():
     with pytest.raises(SkewHermiticityError):
         unitary_exp(np.eye(2, dtype=complex))
+
+
+def test_unitary_exp_stack_matches_single_and_scipy(rng):
+    for shape in ((7, 2, 2), (3, 4, 3, 3)):
+        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        a = 1.5 * (a - np.conj(np.swapaxes(a, -1, -2))) / 2
+        u = unitary_exp(a)
+        assert u.shape == shape
+        for idx in np.ndindex(*shape[:-2]):
+            assert np.max(np.abs(u[idx] - unitary_exp(a[idx]))) <= 1e-13
+            assert np.max(np.abs(u[idx] - scipy.linalg.expm(a[idx]))) <= 1e-13
+
+
+def test_unitary_exp_stack_refused_by_one_bad_matrix(rng):
+    a = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
+    a = (a - np.conj(np.swapaxes(a, -1, -2))) / 2
+    a[3] += 1e-6 * np.eye(2)
+    with pytest.raises(SkewHermiticityError):
+        unitary_exp(a)
 
 
 def test_unitary_eigenphases_recovers_diagonal(rng):
