@@ -92,8 +92,7 @@ class EigenframeSource:
     rel_tol: float = 1e-8
 
 
-def _check_overlap_strength(frames):
-    smins = _kernels.overlap_smins(frames)
+def _check_overlap_strength(smins):
     k = int(np.argmin(smins))
     if smins[k] <= 0.5:
         raise GridTooCoarseError(
@@ -153,10 +152,14 @@ def sample_frames(source, steps=4096, period=None, align=None, closure_tol=1e-8)
         frames[-1] = frames[0]
         align = False if align is None else align
 
-    _check_overlap_strength(frames)
     if align:
-        frames, _smins = _kernels.align_frames(frames)
+        # the singular values of F_{k+1}^H F_k, which alignment factors,
+        # are those of F_k^H F_{k+1}
+        frames, smins = _kernels.align_frames(frames)
         frames[-1] = frames[0]
+    else:
+        smins = _kernels.overlap_smins(frames)
+    _check_overlap_strength(smins)
     return FramePath(grid, frames, defect)
 
 

@@ -232,6 +232,13 @@ def test_coarse_grid_refused():
         spin_path(math.pi / 4, steps=2)
 
 
+def test_aligned_coarse_grid_refused():
+    # the aligned route judges the overlaps its alignment factored
+    source = EigenframeSource(SpinHalf(theta=math.pi / 4).invariant)
+    with pytest.raises(GridTooCoarseError, match="interval 0"):
+        sample_frames(source, steps=2)
+
+
 def test_eigenframe_split_grid_refused():
     # levels +-|cos t| merge mid-path: no consistent group to follow
     inv = trig_family(np.zeros((2, 2), dtype=complex), SIGMA_Z.copy(),

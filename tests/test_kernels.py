@@ -3,12 +3,15 @@ Eigenvector columns are only ever compared through residuals, since a
 degenerate or sign-free column has no unique value to compare."""
 
 import functools
+import math
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from geomphase import _kernels
+from geomphase import RotatingRingBlock, _kernels, random_unitary_gauge
 
 # Every kernel test runs on the one build, plain numpy over LAPACK. The
 # id keeps the label that build's results have always been reported
@@ -21,10 +24,26 @@ def random_hermitian(rng, n, batch=()):
     return np.ascontiguousarray((a + np.swapaxes(a.conj(), -1, -2)) / 2)
 
 
-def random_unitary(rng, n):
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+def random_unitary(rng, n, batch=()):
+    a = rng.normal(size=batch + (n, n)) + 1j * rng.normal(size=batch + (n, n))
     q, r = np.linalg.qr(a)
-    return np.ascontiguousarray(q * (np.diagonal(r) / np.abs(np.diagonal(r))))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return np.ascontiguousarray(q * (d / np.abs(d))[..., None, :])
+
+
+def sequential_prefix(factors):
+    """P[0] = I, P[k+1] = factors[k] @ P[k], one product at a time."""
+    out = [np.eye(factors.shape[-1], dtype=np.complex128)]
+    for f in factors:
+        out.append(f @ out[-1])
+    return np.stack(out)
+
+
+# Lengths at the block edges of the scan: squares, one off a square, primes.
+EDGE_LENGTHS = sorted(
+    {s * s + d for s in range(1, 18) for d in (-1, 0, 1)} - {0}
+    | {2, 3, 5, 7, 13, 31, 97, 127, 251, 293}
+)
 
 
 @on_build
@@ -80,6 +99,40 @@ def test_chain_product_is_ordered(kern, rng):
     )
     want = functools.reduce(np.matmul, mats)
     assert np.max(np.abs(kern.chain_product(mats) - want)) < 1e-12
+    # unitary factors keep long products bounded
+    for length in (1, 2, 6, 17, 2048):
+        mats = random_unitary(rng, 3, batch=(length,))
+        want = functools.reduce(np.matmul, mats)
+        assert np.max(np.abs(kern.chain_product(mats) - want)) < 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.one_of(st.sampled_from(EDGE_LENGTHS), st.integers(1, 300)),
+    n=st.sampled_from([1, 2, 3]),
+    unitary=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_prefix_products_match_sequential_loop(m, n, unitary, seed):
+    rng = np.random.default_rng(seed)
+    if unitary:
+        factors = random_unitary(rng, n, batch=(m,))
+    else:
+        factors = (rng.normal(size=(m, n, n))
+                   + 1j * rng.normal(size=(m, n, n))) / math.sqrt(n)
+    got = _kernels._prefix_products(factors)
+    want = sequential_prefix(factors)
+    assert got.shape == (m + 1, n, n)
+    assert np.array_equal(got[0], np.eye(n))
+    if unitary:
+        assert np.max(np.abs(got - want)) <= 1e-13
+    else:
+        # regrouping a product of k factors moves it by about k roundings
+        # relative to its size (measured at most 1.8 k eps)
+        k = np.arange(m + 1)
+        err = np.linalg.norm(got - want, axis=(1, 2))
+        size = np.linalg.norm(want, axis=(1, 2))
+        assert np.all(err <= 16 * k * np.finfo(float).eps * size)
 
 
 @on_build
@@ -127,8 +180,49 @@ def test_align_frames_parallel_transport(kern, rng):
 
 @on_build
 def test_overlap_smins(kern, rng):
-    frames = np.stack([random_unitary(rng, 3)[:, :2] for _ in range(5)])
-    smins = kern.overlap_smins(np.ascontiguousarray(frames))
-    for i in range(4):
-        o = frames[i].conj().T @ frames[i + 1]
-        assert abs(smins[i] - np.linalg.svd(o, compute_uv=False)[-1]) < 1e-12
+    for k in (1, 2):
+        frames = np.stack([random_unitary(rng, 3)[:, :k] for _ in range(5)])
+        smins = kern.overlap_smins(np.ascontiguousarray(frames))
+        assert smins.shape == (4,)
+        for i in range(4):
+            o = frames[i].conj().T @ frames[i + 1]
+            assert abs(smins[i] - np.linalg.svd(o, compute_uv=False)[-1]) < 1e-12
+
+
+def test_align_frames_gauges_match_sequential_chain():
+    # a rotating-ring pair embedded in four dimensions under a random
+    # closed U(2) gauge, over 4096 steps
+    rng = np.random.default_rng(7)
+    m = RotatingRingBlock(n=1, eps=0.3, chi=math.pi / 6)
+    t = np.linspace(0.0, m.period, 4097)
+    iso = random_unitary(rng, 4)[:, :2]
+    frames = iso @ m.frame_batch(t) @ random_unitary_gauge(rng, t.size, 2)
+    aligned, smins = _kernels.align_frames(frames)
+    polars, want_smins = _kernels.polar_unitary(
+        np.swapaxes(frames[1:].conj(), 1, 2) @ frames[:-1])
+    gs = sequential_prefix(polars[:-1])[1:]
+    assert np.array_equal(smins, want_smins)
+    assert np.max(np.abs(aligned[1:-1] - frames[1:-1] @ gs)) < 1e-13
+    assert np.array_equal(aligned[0], frames[0])
+    assert np.array_equal(aligned[-1], frames[-1])
+
+
+def test_propagate_matches_extended_precision_chain():
+    # the slow rotating pair at drive ratio 1e-3 over one turn; the same
+    # step unitaries chained one at a time in extended precision
+    probe = RotatingRingBlock(n=0, omega_o=1.0)
+    b = RotatingRingBlock(n=0, omega_o=1e-3 * probe.omega_ns)
+    steps = 2**15
+    dt = b.period / steps
+    h_mid = b.hamiltonian.sample((np.arange(steps) + 0.5) * dt)
+    w, v = np.linalg.eigh(h_mid)
+    units = ((v * np.exp(w * (-1j * dt))[:, None, :])
+             @ np.swapaxes(v.conj(), 1, 2)).astype(np.clongdouble)
+    psi0 = b.state("+")
+    states, _props = _kernels.propagate(h_mid, dt, psi0)
+    psi = psi0.astype(np.clongdouble)
+    want = [psi]
+    for u in units:
+        psi = u @ psi
+        want.append(psi)
+    assert np.max(np.abs(states - np.stack(want))) <= 1e-12
