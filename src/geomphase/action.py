@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .holonomy import FramePath, berry_phase, connection_samples, sample_frames
+from .holonomy import berry_phase, connection_samples, sample_frames
 from .linalg import TWO_PI
 
 

@@ -13,7 +13,6 @@ import inspect
 import json
 import math
 import sys
-from datetime import datetime, timezone
 
 import numpy as np
 
@@ -117,11 +116,7 @@ def _flatten(prefix, obj, rows):
 
 def render_json(runs, config_path):
     payload = {
-        "meta": {
-            "created": datetime.now(timezone.utc).isoformat(),
-            "package": f"geomphase {__version__}",
-            "config": config_path,
-        },
+        "meta": {"package": f"geomphase {__version__}", "config": config_path},
         "runs": _jsonify(runs),
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"

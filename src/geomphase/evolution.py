@@ -6,7 +6,6 @@ The propagator uses one midpoint exponential per interval, so each step
 is exactly unitary and constant Hamiltonians are integrated exactly.
 """
 
-import math
 import warnings
 from dataclasses import dataclass
 

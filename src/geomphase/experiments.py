@@ -42,22 +42,50 @@ def _fmt(x):
     return f"{x:.6g}"
 
 
+class _Ledger:
+    """The deviations of one experiment, each checked against its own
+    tolerance where it is recorded; converged means every check passed."""
+
+    def __init__(self):
+        self.deviations = {}
+        self.passed = True
+
+    def check(self, key, name, deviation, tol):
+        """Record deviations[key][name], or deviations[name] when key is
+        None, and require it to be at most tol."""
+        dev = float(deviation)
+        into = self.deviations if key is None else self.deviations.setdefault(key, {})
+        into[name] = dev
+        self.require(dev <= tol)
+
+    def require(self, passed):
+        """A check judged on the results side: a spread, a gain."""
+        self.passed = self.passed and bool(passed)
+
+    def report(self, experiment, inputs, results, references):
+        return {"experiment": experiment, "inputs": inputs, "results": results,
+                "references": references, "deviations": self.deviations,
+                "converged": self.passed}
+
+
 def run_spin(theta=(0.0, math.pi / 6, math.pi / 4, math.pi / 3), omega_s=1.0,
              steps=4096, tol=1e-6, aa_tol=1e-5):
     """Berry phases of the spin cone frames plus the cyclic-evolution
     phase split, against pi*(1 +- cos(2*theta)) and friends."""
-    results, references, deviations = {}, {}, {}
-    ok = True
+    ledger = _Ledger()
+    results, references = {}, {}
     formulas = None
     for th in theta:
         m = SpinHalf(theta=th, omega_s=omega_s)
         formulas = m.formulas
+        refs = m.references
         key = f"theta={_fmt(th)}"
-        r, d = {}, {}
+        r = {}
         for name, col in (("plus", 0), ("minus", 1)):
             g = berry_phase(_frame_path(m, steps, col))
             r[f"berry_{name}"] = g
-            d[f"berry_{name}"] = float(circular_distance(g, m.references[f"berry_{name}"]))
+            ledger.check(key, f"berry_{name}",
+                         circular_distance(g, refs[f"berry_{name}"]), tol)
         for name, br in (("plus", "+"), ("minus", "-")):
             rep = aa_phase(evolve(m.hamiltonian, m.state(br), steps=steps))
             r[f"aa_{name}"] = {
@@ -66,62 +94,48 @@ def run_spin(theta=(0.0, math.pi / 6, math.pi / 4, math.pi / 3), omega_s=1.0,
                 "geometric": rep.geometric,
                 "cyclic_defect": rep.cyclic_defect,
             }
-            d[f"aa_total_{name}"] = float(circular_distance(rep.total, m.references["total"]))
-            d[f"aa_dynamic_{name}"] = abs(rep.dynamic - m.references[f"dynamic_{name}"])
-            d[f"aa_geometric_{name}"] = float(
-                circular_distance(rep.geometric, m.references[f"berry_{name}"])
-            )
+            ledger.check(key, f"aa_total_{name}",
+                         circular_distance(rep.total, refs["total"]), aa_tol)
+            ledger.check(key, f"aa_dynamic_{name}",
+                         abs(rep.dynamic - refs[f"dynamic_{name}"]), aa_tol)
+            ledger.check(key, f"aa_geometric_{name}",
+                         circular_distance(rep.geometric, refs[f"berry_{name}"]), aa_tol)
         results[key] = r
-        references[key] = dict(m.references)
-        deviations[key] = d
-        ok = ok and all(
-            v <= (tol if k.startswith("berry") else aa_tol) for k, v in d.items()
-        )
-    return {
-        "experiment": "spin",
-        "inputs": {"theta": list(theta), "omega_s": omega_s, "steps": steps,
-                   "tol": tol, "aa_tol": aa_tol},
-        "results": results,
-        "references": {"formulas": formulas, "values": references},
-        "deviations": deviations,
-        "converged": bool(ok),
-    }
+        references[key] = dict(refs)
+    inputs = {"theta": list(theta), "omega_s": omega_s, "steps": steps,
+              "tol": tol, "aa_tol": aa_tol}
+    return ledger.report("spin", inputs, results,
+                         {"formulas": formulas, "values": references})
 
 
 def run_ring_static(n=(0, 1, 2), cone=(math.pi / 6, math.pi / 3), omega=1.0,
                     eps=0.5, chi=math.pi / 3, steps=4096, tol=1e-6):
     """Static ring blocks: cone-frame Berry phases by the overlap chain
     and by the cyclic phase split, for several blocks and cone angles."""
-    results, references, deviations = {}, {}, {}
-    ok = True
+    ledger = _Ledger()
+    results, references = {}, {}
     formulas = None
     for nn in n:
         for cn in cone:
             m = StaticRingBlock(n=nn, cone=cn, omega=omega, eps=eps, chi=chi)
             formulas = m.formulas
             key = f"n={nn}/cone={_fmt(cn)}"
-            r, d = {}, {}
+            r = {}
             for name, col, br in (("plus", 0, "+"), ("minus", 1, "-")):
                 ref = m.references[f"berry_{name}"]
                 g = berry_phase(_frame_path(m, steps, col))
                 rep = aa_phase(evolve(m.hamiltonian, m.state(br), steps=steps))
                 r[f"berry_{name}"] = g
                 r[f"aa_geometric_{name}"] = rep.geometric
-                d[f"berry_{name}"] = float(circular_distance(g, ref))
-                d[f"aa_geometric_{name}"] = float(circular_distance(rep.geometric, ref))
+                ledger.check(key, f"berry_{name}", circular_distance(g, ref), tol)
+                ledger.check(key, f"aa_geometric_{name}",
+                             circular_distance(rep.geometric, ref), tol)
             results[key] = r
             references[key] = dict(m.references)
-            deviations[key] = d
-            ok = ok and all(v <= tol for v in d.values())
-    return {
-        "experiment": "ring-static",
-        "inputs": {"n": list(n), "cone": list(cone), "omega": omega, "eps": eps,
-                   "chi": chi, "steps": steps, "tol": tol},
-        "results": results,
-        "references": {"formulas": formulas, "values": references},
-        "deviations": deviations,
-        "converged": bool(ok),
-    }
+    inputs = {"n": list(n), "cone": list(cone), "omega": omega, "eps": eps,
+              "chi": chi, "steps": steps, "tol": tol}
+    return ledger.report("ring-static", inputs, results,
+                         {"formulas": formulas, "values": references})
 
 
 def adiabatic_tracking(n=0, omega=1.0, eps=0.5, chi=math.pi / 3, ratio=1e-2,
@@ -154,44 +168,33 @@ def run_ring_rotating(n=(0, 1, 2), eps=(0.5, 0.3), chi=(math.pi / 3, math.pi / 6
     """Degenerate-pair holonomy of the rotating ring: the phase matrix,
     its fixed eigenvalues {0, 2*pi}, the trivial loop unitary, and the
     block independence of all of it. Optionally the slow-rotation limit."""
-    results, references, deviations = {}, {}, {}
-    ok = True
+    ledger = _Ledger()
+    results, references = {}, {}
+    inputs = {"n": list(n), "eps": list(eps), "chi": list(chi), "omega": omega,
+              "omega_o": omega_o, "steps": steps, "tol": tol,
+              "spread_tol": spread_tol, "adiabatic": adiabatic}
     for e, c in zip(eps, chi):
         key = f"eps={_fmt(e)}/chi={_fmt(c)}"
         gammas = []
-        r, d = {}, {}
         for nn in n:
             m = RotatingRingBlock(n=nn, omega=omega, eps=e, chi=c, omega_o=omega_o)
             rep = holonomy_report(_frame_path(m, steps), estimate_convergence=False)
             gammas.append(rep["gamma"])
-            d[f"gamma_n={nn}"] = float(np.max(np.abs(rep["gamma"] - m.gamma_ref)))
-            d[f"wilson_n={nn}"] = float(np.max(np.abs(rep["wilson"] - np.eye(2))))
-            d[f"gamma_eigenvalues_n={nn}"] = float(
-                np.max(np.abs(rep["gamma_eigenvalues"] - np.array([0.0, TWO_PI])))
-            )
+            want = {"gamma": m.gamma_ref, "wilson": np.eye(2),
+                    "gamma_eigenvalues": np.array([0.0, TWO_PI])}
+            for name, ref in want.items():
+                ledger.check(key, f"{name}_n={nn}", np.max(np.abs(rep[name] - ref)), tol)
         spread = 0.0
         for g in gammas[1:]:
             spread = max(spread, float(np.max(np.abs(g - gammas[0]))))
-        r["gamma"] = gammas[0]
-        r["gamma_eigenvalues"] = np.linalg.eigvalsh(gammas[0])
-        r["block_spread"] = spread
+        ledger.require(spread <= spread_tol)
         m0 = RotatingRingBlock(n=n[0], omega=omega, eps=e, chi=c, omega_o=omega_o)
-        results[key] = r
+        results[key] = {"gamma": gammas[0],
+                        "gamma_eigenvalues": np.linalg.eigvalsh(gammas[0]),
+                        "block_spread": spread}
         references[key] = {"gamma": m0.gamma_ref, **m0.references}
-        deviations[key] = d
-        ok = ok and all(v <= tol for v in d.values()) and spread <= spread_tol
-    out = {
-        "experiment": "ring-rotating",
-        "inputs": {"n": list(n), "eps": list(eps), "chi": list(chi), "omega": omega,
-                   "omega_o": omega_o, "steps": steps, "tol": tol,
-                   "spread_tol": spread_tol, "adiabatic": adiabatic},
-        "results": results,
-        "references": references,
-        "deviations": deviations,
-    }
     if adiabatic:
         runs = {}
-        gains_ok = True
         for branch in ("+", "-"):
             track = [
                 adiabatic_tracking(n=n[0], omega=omega, eps=eps[0], chi=chi[0],
@@ -203,14 +206,11 @@ def run_ring_rotating(n=(0, 1, 2), eps=(0.5, 0.3), chi=(math.pi / 3, math.pi / 6
                 for i in range(len(track) - 1)
             ]
             runs[branch] = {"runs": track, "gains": gains}
-            gains_ok = gains_ok and all(g >= min_gain for g in gains)
-        out["results"]["adiabatic"] = runs
-        out["inputs"]["ratios"] = list(ratios)
-        out["inputs"]["adiabatic_steps"] = list(adiabatic_steps)
-        out["inputs"]["min_gain"] = min_gain
-        ok = ok and gains_ok
-    out["converged"] = bool(ok)
-    return out
+            ledger.require(all(g >= min_gain for g in gains))
+        results["adiabatic"] = runs
+        inputs.update(ratios=list(ratios), adiabatic_steps=list(adiabatic_steps),
+                      min_gain=min_gain)
+    return ledger.report("ring-rotating", inputs, results, references)
 
 
 def run_ring_action(n=(0, 1, 2), omega=1.0, eps=0.5, chi=math.pi / 3, n_phi=64,
@@ -218,15 +218,15 @@ def run_ring_action(n=(0, 1, 2), omega=1.0, eps=0.5, chi=math.pi / 3, n_phi=64,
     """Torus transport of the action eigenfunctions: loop phases against
     pi*(1 -+ cos(2*mix)), per-interval connection samples against the
     constant density, and agreement with the bare band-frame loop."""
-    results, references, deviations = {}, {}, {}
-    ok = True
+    ledger = _Ledger()
+    results, references = {}, {}
     formulas = None
     phases = {"+": [], "-": []}
     for nn in n:
         m = ActionRingBlock(n=nn, omega=omega, eps=eps, chi=chi, n_phi=n_phi)
         formulas = m.formulas
         key = f"n={nn}"
-        r, d = {}, {}
+        r = {}
         delta = TWO_PI / steps
         for name, br, col in (("plus", "+", 0), ("minus", "-", 1)):
             tp = torus_path(m, br, steps=steps)
@@ -242,31 +242,23 @@ def run_ring_action(n=(0, 1, 2), omega=1.0, eps=0.5, chi=math.pi / 3, n_phi=64,
             phases[br].append(ph)
             r[f"torus_{name}"] = ph
             r[f"bare_loop_{name}"] = bare
-            d[f"torus_{name}"] = float(circular_distance(ph, ref))
-            d[f"connection_{name}"] = float(np.max(np.abs(conn - dens * delta)))
-            d[f"bare_equivalence_{name}"] = float(circular_distance(ph, bare))
+            ledger.check(key, f"torus_{name}", circular_distance(ph, ref), tol)
+            ledger.check(key, f"connection_{name}",
+                         np.max(np.abs(conn - dens * delta)), conn_tol)
+            ledger.check(key, f"bare_equivalence_{name}",
+                         circular_distance(ph, bare), equiv_tol)
         results[key] = r
         references[key] = dict(m.references)
-        deviations[key] = d
-        ok = ok and all(
-            v <= {"t": tol, "c": conn_tol, "b": equiv_tol}[k[0]] for k, v in d.items()
-        )
     spread = max(
         max(abs(p - ps[0]) for p in ps) if len(ps) > 1 else 0.0
         for ps in phases.values()
     )
     results["block_spread"] = spread
-    ok = ok and spread <= 1e-10
-    return {
-        "experiment": "ring-action",
-        "inputs": {"n": list(n), "omega": omega, "eps": eps, "chi": chi,
-                   "n_phi": n_phi, "steps": steps, "tol": tol,
-                   "conn_tol": conn_tol, "equiv_tol": equiv_tol},
-        "results": results,
-        "references": {"formulas": formulas, "values": references},
-        "deviations": deviations,
-        "converged": bool(ok),
-    }
+    ledger.require(spread <= 1e-10)
+    inputs = {"n": list(n), "omega": omega, "eps": eps, "chi": chi, "n_phi": n_phi,
+              "steps": steps, "tol": tol, "conn_tol": conn_tol, "equiv_tol": equiv_tol}
+    return ledger.report("ring-action", inputs, results,
+                         {"formulas": formulas, "values": references})
 
 
 def run_direct_sum(blocks=(0, 1), cone=math.pi / 6, omega=1.0, eps=0.5,
@@ -283,23 +275,17 @@ def run_direct_sum(blocks=(0, 1), cone=math.pi / 6, omega=1.0, eps=0.5,
     single = blockwise_evolve(models, state, steps=steps)
     _traj, drift, phases = assembled_evolve(models, state, steps=steps)
     ref_phases = single.phases()
-    d = {"weight_drift": drift}
+    ledger = _Ledger()
+    ledger.check(None, "weight_drift", drift, weight_tol)
     for b in blocks:
-        d[f"phase_n={b}"] = float(circular_distance(phases[b], ref_phases[b]))
-    ok = drift <= weight_tol and all(
-        v <= phase_tol for k, v in d.items() if k.startswith("phase")
-    )
-    return {
-        "experiment": "direct-sum",
-        "inputs": {"blocks": list(blocks), "cone": cone, "omega": omega, "eps": eps,
-                   "chi": chi, "steps": steps, "weight_tol": weight_tol,
-                   "phase_tol": phase_tol},
-        "results": {"weights": single.weights, "assembled_phases": phases,
-                    "single_block_phases": ref_phases},
-        "references": {"weights": {b: amp * amp for b in blocks}},
-        "deviations": d,
-        "converged": bool(ok),
-    }
+        ledger.check(None, f"phase_n={b}",
+                     circular_distance(phases[b], ref_phases[b]), phase_tol)
+    inputs = {"blocks": list(blocks), "cone": cone, "omega": omega, "eps": eps,
+              "chi": chi, "steps": steps, "weight_tol": weight_tol, "phase_tol": phase_tol}
+    results = {"weights": single.weights, "assembled_phases": phases,
+               "single_block_phases": ref_phases}
+    return ledger.report("direct-sum", inputs, results,
+                         {"weights": {b: amp * amp for b in blocks}})
 
 
 def _sweep_paths(steps):
@@ -324,8 +310,8 @@ def run_gauge_sweep(gauges=10, seed=20260814, steps=2048, amplitude=0.6, modes=3
     """Random smooth closed gauges on one representative loop per model:
     loop eigenphases must not move while the raw connection samples do."""
     rng = np.random.default_rng(seed)
-    results, deviations = {}, {}
-    ok = True
+    ledger = _Ledger()
+    results = {}
     for name, path in _sweep_paths(steps).items():
         base_phases = np.sort(unitary_eigenphases(wilson_loop(path)))
         base_samples = connection_samples(path)
@@ -344,18 +330,11 @@ def run_gauge_sweep(gauges=10, seed=20260814, steps=2048, amplitude=0.6, modes=3
             changes.append(float(np.max(np.abs(connection_samples(moved) - base_samples))))
         results[name] = {"max_shift": max(shifts), "min_sample_change": min(changes),
                          "loop_eigenphases": base_phases}
-        deviations[name] = {"max_shift": max(shifts)}
-        ok = ok and max(shifts) <= shift_tol and min(changes) >= min_change
-    return {
-        "experiment": "gauge-sweep",
-        "inputs": {"gauges": gauges, "seed": seed, "steps": steps,
-                   "amplitude": amplitude, "modes": modes,
-                   "shift_tol": shift_tol, "min_change": min_change},
-        "results": results,
-        "references": {"max_shift": 0.0},
-        "deviations": deviations,
-        "converged": bool(ok),
-    }
+        ledger.check(name, "max_shift", max(shifts), shift_tol)
+        ledger.require(min(changes) >= min_change)
+    inputs = {"gauges": gauges, "seed": seed, "steps": steps, "amplitude": amplitude,
+              "modes": modes, "shift_tol": shift_tol, "min_change": min_change}
+    return ledger.report("gauge-sweep", inputs, results, {"max_shift": 0.0})
 
 
 def _convergence_specs():
@@ -409,8 +388,8 @@ def run_convergence(levels=(1024, 2048, 4096), min_gain=3.5, floor=1e-10):
     refinement if the deviation drops by min_gain, or if either side is
     already at the noise floor where gains are meaningless."""
     levels = sorted(int(v) for v in levels)
-    results, deviations = {}, {}
-    ok = True
+    ledger = _Ledger()
+    results = {}
     for name, fn in _convergence_specs().items():
         devs = [float(fn(lv)) for lv in levels]
         ratios, passed = [], True
@@ -420,16 +399,13 @@ def run_convergence(levels=(1024, 2048, 4096), min_gain=3.5, floor=1e-10):
             passed = passed and (at_floor or coarse >= min_gain * fine)
         results[name] = {"levels": levels, "deviations": devs, "ratios": ratios,
                          "at_floor": devs[-1] <= floor, "passed": passed}
-        deviations[name] = {"final": devs[-1]}
-        ok = ok and passed
-    return {
-        "experiment": "convergence",
-        "inputs": {"levels": levels, "min_gain": min_gain, "floor": floor},
-        "results": results,
-        "references": {"min_gain": min_gain, "floor": floor},
-        "deviations": deviations,
-        "converged": bool(ok),
-    }
+        # the finest deviation is reported, not bounded: the verdict is
+        # the gain per refinement
+        ledger.check(name, "final", devs[-1], math.inf)
+        ledger.require(passed)
+    inputs = {"levels": levels, "min_gain": min_gain, "floor": floor}
+    return ledger.report("convergence", inputs, results,
+                         {"min_gain": min_gain, "floor": floor})
 
 
 EXPERIMENTS = {

@@ -93,6 +93,8 @@ class EigenframeSource:
 
 
 def _check_overlap_strength(smins):
+    """Refuse a grid whose weakest consecutive overlap, by smallest singular
+    value (the magnitude for one column), is at most 0.5."""
     k = int(np.argmin(smins))
     if smins[k] <= 0.5:
         raise GridTooCoarseError(
@@ -101,20 +103,24 @@ def _check_overlap_strength(smins):
         )
 
 
-def sample_frames(source, steps=4096, period=None, align=None, closure_tol=1e-8):
+def sample_frames(source, steps=4096, period=None):
     """Build a closed FramePath from one of three sources.
 
     source may be an EigenframeSource, a callable t -> (dim, nvec) or
     (dim,) array, or a precomputed (M+1, dim, nvec) array over a uniform
-    grid. Callables and arrays keep their own gauge unless align=True;
-    eigensolver frames are always aligned (their raw gauge is noise).
+    grid. Eigensolver frames are parallel-aligned, since their raw gauge
+    is noise; callables and arrays keep their own gauge. A callable or
+    array must close to 1e-8 on its own.
     """
     if isinstance(source, EigenframeSource):
         if period is None:
             period = source.family.period
         grid = np.linspace(0.0, float(period), steps + 1)
         frames, defect = _eigenframes(source, grid)
-        align = True if align is None else align
+        # the singular values of F_{k+1}^H F_k, which alignment factors,
+        # are those of F_k^H F_{k+1}
+        frames, smins = _kernels.align_frames(frames)
+        frames[-1] = frames[0]
     else:
         if isinstance(source, np.ndarray):
             frames = np.ascontiguousarray(source, dtype=np.complex128)
@@ -143,21 +149,13 @@ def sample_frames(source, steps=4096, period=None, align=None, closure_tol=1e-8)
                 f"sampled frames are not orthonormal: max |F^H F - I| = {gdef:.3e}"
             )
         defect = float(np.max(np.abs(frames[-1] - frames[0])))
-        if defect > closure_tol:
+        if defect > 1e-8:
             raise NonCyclicError(
                 f"frame path does not close: endpoint deviates by {defect:.3e} "
-                f"from the start (tolerance {closure_tol:.1e})",
+                "from the start (tolerance 1e-8)",
                 defect,
             )
         frames[-1] = frames[0]
-        align = False if align is None else align
-
-    if align:
-        # the singular values of F_{k+1}^H F_k, which alignment factors,
-        # are those of F_k^H F_{k+1}
-        frames, smins = _kernels.align_frames(frames)
-        frames[-1] = frames[0]
-    else:
         smins = _kernels.overlap_smins(frames)
     _check_overlap_strength(smins)
     return FramePath(grid, frames, defect)
@@ -202,21 +200,10 @@ def connection_samples(path):
     """
     o = path.overlaps()
     if path.nvec == 1:
-        mags = np.abs(o[:, 0, 0])
-        k = int(np.argmin(mags))
-        if mags[k] <= 0.5:
-            raise GridTooCoarseError(
-                f"overlap magnitude {mags[k]:.3f} <= 0.5 at interval {k}, "
-                "refine the grid"
-            )
+        _check_overlap_strength(np.abs(o[:, 0, 0]))
         return (-np.angle(o[:, 0, 0]))[:, None, None].astype(np.complex128)
     u, smins = _kernels.polar_unitary(o)
-    k = int(np.argmin(smins))
-    if smins[k] <= 0.5:
-        raise GridTooCoarseError(
-            f"overlap at interval {k} is nearly singular (smin {smins[k]:.3f}), "
-            "refine the grid"
-        )
+    _check_overlap_strength(smins)
     try:
         # the log is exactly skew-Hermitian, so i * log is exactly Hermitian
         return 1j * matrix_log_unitary(u)
@@ -249,11 +236,7 @@ def berry_phase(path):
         raise ValueError(f"berry_phase needs a single-vector path, got nvec={path.nvec}")
     o = path.overlaps()[:, 0, 0]
     mags = np.abs(o)
-    k = int(np.argmin(mags))
-    if mags[k] <= 0.5:
-        raise GridTooCoarseError(
-            f"overlap magnitude {mags[k]:.3f} <= 0.5 at interval {k}, refine the grid"
-        )
+    _check_overlap_strength(mags)
     by_sum = mod_2pi(-np.sum(np.angle(o)))
     by_product = mod_2pi(-np.angle(np.prod(o / mags)))
     gap = circular_distance(by_sum, by_product)

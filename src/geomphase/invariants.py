@@ -48,17 +48,16 @@ def eigenvalue_drift(invariant, times=None, n_times=100):
     return float(np.max(np.abs(ws - ws[0])))
 
 
-def transport_error(hamiltonian, invariant, steps=4096, duration=None,
-                    rel_tol=1e-8, psi0=None):
+def transport_error(hamiltonian, invariant, steps=4096, duration=None, rel_tol=1e-8):
     """How far the propagator carries I(0)-eigenspaces off I(t)-eigenspaces.
 
     For every degenerate group g and grid time t: project U(t) F_g(0) onto
     the complement of the group's eigenspace of I(t) and take the largest
     Frobenius norm. Exactly conserved partners give integrator-level noise.
+    Only the propagators enter, so the state evolved alongside is e_0.
     """
-    if psi0 is None:
-        psi0 = np.zeros(hamiltonian.dim, dtype=np.complex128)
-        psi0[0] = 1.0
+    psi0 = np.zeros(hamiltonian.dim, dtype=np.complex128)
+    psi0[0] = 1.0
     traj = evolve(hamiltonian, psi0, steps=steps, duration=duration)
     ws, vs = _kernels.eigh_batch(invariant.sample(traj.times))
     groups = group_degenerate(ws[0], rel_tol=rel_tol)

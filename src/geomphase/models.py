@@ -115,8 +115,6 @@ class SpinHalf:
     pi*(1 +- cos(2*theta)) per turn while the total phase stays pi.
     """
 
-    frame_labels = ("+", "-")
-
     def __init__(self, theta=math.pi / 6, omega_s=1.0):
         if omega_s <= 0.0:
             raise ValueError(f"field frequency must be positive, got {omega_s}")
@@ -213,8 +211,6 @@ class StaticRingBlock:
     keep disjoint spectra {4n - 1, 4n + 1}.
     """
 
-    frame_labels = ("+", "-")
-
     def __init__(self, n=0, cone=math.pi / 6, omega=1.0, eps=0.5, chi=math.pi / 3):
         if n < 0 or omega <= 0.0:
             raise ValueError(f"need n >= 0 and omega > 0, got n={n}, omega={omega}")
@@ -289,8 +285,6 @@ class RotatingRingBlock:
     though the phase matrix itself is not zero.
     """
 
-    frame_labels = ("+", "-")
-
     def __init__(self, n=0, omega=1.0, eps=0.5, chi=math.pi / 3, omega_o=1.0):
         if n < 0 or omega <= 0.0:
             raise ValueError(f"need n >= 0 and omega > 0, got n={n}, omega={omega}")
@@ -359,8 +353,6 @@ class ActionRingBlock:
     n + (1 +- s)/2; transporting its eigenfunctions once around the torus
     direction gives phases pi*(1 -+ cos(2*mix)), upper branch first.
     """
-
-    frame_labels = ("+", "-")
 
     def __init__(self, n=0, omega=1.0, eps=0.5, chi=math.pi / 3, n_phi=64):
         if n < 0 or n_phi < 4:

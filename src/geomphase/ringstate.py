@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import Trajectory, evolve
+from .evolution import evolve
 from .models import assemble_blocks
 
 

@@ -3,6 +3,7 @@ reports, and exit codes."""
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,9 @@ from geomphase.cli import (
     render_csv,
 )
 from geomphase.errors import ConfigError
+from geomphase.experiments import EXPERIMENTS
+
+QUICK_CFG = str(Path(__file__).resolve().parents[1] / "configs" / "quick.cfg")
 
 
 @pytest.mark.parametrize("text,want", [
@@ -91,9 +95,13 @@ def test_run_json_deterministic(tmp_path):
     args = ["run", "spin", "--steps", "256", "--tol", "1e-3", "--output"]
     assert main(args + [str(out1)]) == 0
     assert main(args + [str(out2)]) == 0
-    d1, d2 = json.loads(out1.read_text()), json.loads(out2.read_text())
-    d1.pop("meta"), d2.pop("meta")
-    assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
+    assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_check_command_quick(capsys):
+    assert main(["check", "--config", QUICK_CFG]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert [line.split()[:2] for line in lines] == [[n, "ok"] for n in EXPERIMENTS]
 
 
 def test_run_failure_exits_1(tmp_path):

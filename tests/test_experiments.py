@@ -1,0 +1,45 @@
+"""The experiment verdicts: at the quick settings every bundled
+experiment converges, and every tolerance it takes reaches its verdict."""
+
+import inspect
+import math
+from pathlib import Path
+
+import pytest
+
+from geomphase.cli import build_kwargs, load_config
+from geomphase.experiments import EXPERIMENTS
+
+QUICK_CFG = Path(__file__).resolve().parents[1] / "configs" / "quick.cfg"
+
+# bounds met from below: no run clears an infinite one
+LOWER_BOUNDS = [("gauge-sweep", "min_change"), ("convergence", "min_gain")]
+
+# every deviation bound is met from above: no deviation is below -1
+UPPER_BOUNDS = [
+    (name, key)
+    for name, func in EXPERIMENTS.items()
+    for key in inspect.signature(func).parameters
+    if key == "tol" or key.endswith("_tol")
+]
+
+
+def _quick_run(name, **override):
+    kwargs = build_kwargs(name, load_config(str(QUICK_CFG)), {})
+    kwargs.update(override)
+    return EXPERIMENTS[name](**kwargs)
+
+
+@pytest.mark.parametrize("name", list(EXPERIMENTS))
+def test_quick_run_converges(name):
+    assert _quick_run(name)["converged"] is True
+
+
+@pytest.mark.parametrize("name,key,bound", [(n, k, -1.0) for n, k in UPPER_BOUNDS]
+                         + [(n, k, math.inf) for n, k in LOWER_BOUNDS])
+def test_each_tolerance_reaches_the_verdict(name, key, bound):
+    assert _quick_run(name, **{key: bound})["converged"] is False
+
+
+def test_every_experiment_has_a_bound_under_test():
+    assert {n for n, _k in UPPER_BOUNDS + LOWER_BOUNDS} == set(EXPERIMENTS)

@@ -232,6 +232,23 @@ def test_coarse_grid_refused():
         spin_path(math.pi / 4, steps=2)
 
 
+def test_coarse_frame_path_refused_by_every_consumer():
+    # a FramePath built directly skips sample_frames, so each consumer of
+    # its overlaps must refuse the coarse grid itself, with the same guard
+    m = SpinHalf(theta=math.pi / 4)
+    times = np.linspace(0.0, m.period, 3)
+    col = m.frame_batch(times)[:, :, :1]
+    col[-1] = col[0]
+    one = FramePath(times, col, 0.0)
+    two = FramePath(times, np.kron(np.eye(2), col), 0.0)
+    assert two.frames.shape == (3, 4, 2)
+    guard = r"at interval [01]: smallest singular value 0\.000 <= 0\.5"
+    for fn, path in ((connection_samples, one), (phase_matrix, one), (berry_phase, one),
+                     (connection_samples, two), (phase_matrix, two)):
+        with pytest.raises(GridTooCoarseError, match=guard):
+            fn(path)
+
+
 def test_aligned_coarse_grid_refused():
     # the aligned route judges the overlaps its alignment factored
     source = EigenframeSource(SpinHalf(theta=math.pi / 4).invariant)
