@@ -2,16 +2,22 @@
 eigensolves, polar factors, frame alignment, ordered matrix products and
 midpoint-exponential propagation.
 
-Every factorization is one numpy.linalg (LAPACK) call on the whole
-stack; eigenvalues come back ascending. One-column stacks take the
-closed forms instead: the polar factor of a 1 x 1 matrix is its phase
-and its singular value its modulus. The ordered products (propagators,
-alignment gauges, the Wilson loop) share one blocked scan: M factors
-split into blocks of about sqrt(M), the prefix inside every block runs
-as one batched product per block position, and a short chain over the
-block totals carries the blocks together. That is about 2M small
-products in about 2 sqrt(M) numpy calls, and inside a block the
-products still associate in sequence.
+Each factorization picks its method from the matrix shape alone. Stacks
+of n > 2 matrices, and every Hermitian eigensolve, make one numpy.linalg
+(LAPACK) call on the whole stack; eigenvalues come back ascending. At
+n <= 2 LAPACK's per-matrix overhead far outweighs the arithmetic, so the
+polar factors, smallest singular values and step exponentials there take
+closed forms: a 1 x 1 matrix's polar factor is its phase and its
+singular value its modulus; a 2 x 2 matrix M has the polar factor
+(M + e^{i arg det M} adj(M)^H) / sqrt(|M|_F^2 + 2 |det M|); and a 2 x 2
+Hermitian H = a I + K with K traceless has
+exp(-i s H) = e^{-i a s} (cos(|K| s) I - i s sinc(|K| s) K). The ordered
+products (propagators, alignment gauges, the Wilson loop) share one
+blocked scan: M factors split into blocks of about sqrt(M), the prefix
+inside every block runs as one batched product per block position, and a
+short chain over the block totals carries the blocks together. That is
+about 2M small products in about 2 sqrt(M) numpy calls, and inside a
+block the products still associate in sequence.
 """
 
 import math
@@ -64,6 +70,52 @@ def _prefix_products(factors):
     return out[:m + 1]
 
 
+def _expm_herm2(h, s):
+    """exp(-i s H) for a stack of Hermitian 2 x 2 matrices (..., 2, 2).
+
+    With H = a I + K, K traceless and |K|^2 = K00^2 + |K01|^2:
+    exp(-i s H) = e^{-i a s} (cos(|K| s) I - i s sinc(|K| s) K), unitary to
+    rounding at any |K| s and exact for K = 0. Reads the diagonal and the
+    upper corner only; the steps are written into one new buffer.
+    """
+    d0, d1 = h[..., 0, 0].real, h[..., 1, 1].real
+    k0 = (d0 - d1) / 2
+    k1 = h[..., 0, 1]
+    x = s * np.hypot(k0, np.abs(k1))
+    phase = np.exp((-1j * s / 2) * (d0 + d1))
+    c = phase * np.cos(x)
+    q = phase * np.sinc(x / np.pi)
+    q *= -1j * s
+    qk = q * k0
+    out = np.empty(h.shape, np.complex128)
+    out[..., 0, 0] = c + qk
+    out[..., 1, 1] = c - qk
+    out[..., 0, 1] = q * k1
+    out[..., 1, 0] = q * np.conj(k1)
+    return out
+
+
+def _svals2(m):
+    """det M, |M|_F^2 and the smallest singular value of a stack of 2 x 2
+    matrices.
+
+    s_min^2 = 2 |det|^2 / (f + sqrt(f^2 - 4 |det|^2)) with f = |M|_F^2, the
+    smaller root of s^4 - f s^2 + |det|^2 written without the cancellation
+    of (f - sqrt(disc)) / 2. The discriminant is the squared eigenvalue gap
+    of M M^H = [[p, r], [r*, q]], (p - q)^2 + 4 |r|^2, which keeps nearly
+    equal singular values apart where f^2 - 4 |det|^2 would cancel.
+    """
+    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    det = a * d - b * c
+    p = a.real ** 2 + a.imag ** 2 + b.real ** 2 + b.imag ** 2
+    q = c.real ** 2 + c.imag ** 2 + d.real ** 2 + d.imag ** 2
+    r = np.abs(a * np.conj(c) + b * np.conj(d))
+    f = p + q
+    ad = np.abs(det)
+    root = np.maximum(f + np.hypot(p - q, 2 * r), np.finfo(float).tiny)
+    return det, f, np.sqrt(2 * ad * ad / root)
+
+
 def eigh_batch(hs):
     """Ascending eigenvalues (M, n) and eigenvector columns (M, n, n) of a
     stack of Hermitian matrices."""
@@ -75,10 +127,23 @@ def polar_unitary(m):
 
     Returns (u, smallest singular value); the caller decides what "too
     singular" means. A 1 x 1 factor is the phase of m, which is unitary
-    even at m = 0.
+    even at m = 0. A 2 x 2 factor is
+    (m + e^{i arg det m} adj(m)^H) / sqrt(|m|_F^2 + 2 |det m|), unitary down
+    to rank 1 and zero at m = 0.
     """
     if m.shape[-1] == 1:
         return np.exp(1j * np.angle(m)), np.abs(m[..., 0, 0])
+    if m.shape[-1] == 2:
+        det, f, smin = _svals2(m)
+        scale = 1 / np.sqrt(np.maximum(f + 2 * np.abs(det), np.finfo(float).tiny))
+        ph = np.exp(1j * np.angle(det))
+        u = np.empty(m.shape, np.complex128)
+        u[..., 0, 0] = m[..., 0, 0] + ph * np.conj(m[..., 1, 1])
+        u[..., 0, 1] = m[..., 0, 1] - ph * np.conj(m[..., 1, 0])
+        u[..., 1, 0] = m[..., 1, 0] - ph * np.conj(m[..., 0, 1])
+        u[..., 1, 1] = m[..., 1, 1] + ph * np.conj(m[..., 0, 0])
+        u *= scale[..., None, None]
+        return u, smin
     u, s, vh = np.linalg.svd(m)
     return u @ vh, s[..., -1]
 
@@ -110,6 +175,8 @@ def overlap_smins(frames):
     o = _adjoint(frames[:-1]) @ frames[1:]
     if o.shape[-1] == 1:
         return np.abs(o[:, 0, 0])
+    if o.shape[-1] == 2:
+        return _svals2(o)[2]
     return np.linalg.svd(o, compute_uv=False)[:, -1]
 
 
@@ -123,11 +190,15 @@ def propagate(h_mid, dt, psi0):
     """States (M+1, n) and cumulative propagators (M+1, n, n) of one
     midpoint-exponential step per interval.
 
-    Each step U_k = exp(-i H_k dt) comes from an exact diagonalization of
-    its midpoint Hamiltonian, so every step is unitary to rounding.
+    Each step U_k = exp(-i H_k dt) comes from the 2 x 2 closed form or an
+    exact diagonalization of its midpoint Hamiltonian, so every step is
+    unitary to rounding.
     """
-    w, v = np.linalg.eigh(h_mid)
-    steps = (v * np.exp(w * (-1j * dt))[:, None, :]) @ _adjoint(v)
-    del w, v  # free the eigenbases before the propagator stack is allocated
+    if h_mid.shape[-1] == 2:
+        steps = _expm_herm2(h_mid, dt)
+    else:
+        w, v = np.linalg.eigh(h_mid)
+        steps = (v * np.exp(w * (-1j * dt))[:, None, :]) @ _adjoint(v)
+        del w, v  # free the eigenbases before the propagator stack is allocated
     props = _prefix_products(steps)
     return props @ psi0, props

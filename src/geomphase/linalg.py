@@ -168,7 +168,10 @@ def unitary_exp(a, tol=1e-10):
             f"matrix is not skew-Hermitian: max |A + A^H| = {defect:.3e} > {tol:.1e}"
         )
     h = -1j * a
-    w, v = np.linalg.eigh((h + _adjoint(h)) / 2)
+    h = (h + _adjoint(h)) / 2
+    if h.shape[-1] == 2:
+        return _kernels._expm_herm2(h, -1.0)
+    w, v = np.linalg.eigh(h)
     return (v * np.exp(1j * w)[..., None, :]) @ _adjoint(v)
 
 
@@ -200,15 +203,39 @@ def _diagonalize_unitary(u):
     return d, v
 
 
-def matrix_log_unitary(u, branch_tol=1e-6, allow_branch_cut=False, tol=1e-8):
-    """Principal skew-Hermitian logarithm of a unitary matrix, or of each
-    matrix of a stack (..., n, n).
+def _log_unitary2(u):
+    # Closed-form log of a stack of 2 x 2 unitaries. With
+    # alpha = arg(det U) / 2 in (-pi/2, pi/2], V = e^{-i alpha} U is in
+    # SU(2): V = cos(theta) I + K with K the traceless skew-Hermitian part
+    # and |K|_F = sqrt(2) sin(theta), so the eigenphases of U are
+    # alpha +- theta, wrapped into (-pi, pi] one by one. On the eigenvector
+    # of K with eigenvalue +-i sin(theta),
+    # i (phi_+ + phi_-) / 2 + (phi_+ - phi_-) / (2 sin(theta)) K
+    # is i phi_+-, so that is the principal log anywhere on the circle.
+    alpha = np.angle(u[..., 0, 0] * u[..., 1, 1] - u[..., 0, 1] * u[..., 1, 0]) / 2
+    v = np.exp(-1j * alpha)[..., None, None] * u
+    kz = (v[..., 0, 0].imag - v[..., 1, 1].imag) / 2
+    kx = (v[..., 0, 1] - np.conj(v[..., 1, 0])) / 2
+    sin = np.hypot(kz, np.abs(kx))
+    theta = np.arctan2(sin, (v[..., 0, 0].real + v[..., 1, 1].real) / 2)
+    x = np.stack([alpha + theta, alpha - theta], axis=-1)
+    # one 2*pi shift where needed; phases already in range stay exact, since
+    # a round trip through pi - x would put every small phase on the grid
+    # of ulp(pi) and bias sums of many of them
+    phases = np.where(x > np.pi, x - TWO_PI, np.where(x <= -np.pi, x + TWO_PI, x))
+    mean = (phases[..., 0] + phases[..., 1]) / 2
+    half = (phases[..., 0] - phases[..., 1]) / 2
+    coef = np.divide(half, sin, out=np.ones_like(sin), where=sin > 0)
+    log = np.empty(u.shape, np.complex128)
+    log[..., 0, 0] = 1j * (mean + coef * kz)
+    log[..., 1, 1] = 1j * (mean - coef * kz)
+    log[..., 0, 1] = coef * kx
+    log[..., 1, 0] = -np.conj(log[..., 0, 1])
+    return phases, log
 
-    Eigenphases land in (-pi, pi]. An eigenphase within branch_tol of the
-    cut at pi is refused unless allow_branch_cut is set, because a phase
-    straddling the cut makes the branch choice arbitrary.
-    """
-    u = require_unitary(np.asarray(u, dtype=np.complex128), tol=tol, name="log argument")
+
+def _log_unitary_eig(u):
+    # Eigenphases and log through one Hermitian eigensolve, any size.
     d, v = _diagonalize_unitary(u)
     resid = np.max(np.abs(u @ v - v * d[..., None, :]))
     if resid > 1e-7:
@@ -216,17 +243,31 @@ def matrix_log_unitary(u, branch_tol=1e-6, allow_branch_cut=False, tol=1e-8):
             f"unitary diagonalization failed: eigen residual {resid:.3e}"
         )
     theta = np.angle(d)
+    log = (v * (1j * theta)[..., None, :]) @ _adjoint(v)
+    return theta, (log - _adjoint(log)) / 2
+
+
+def matrix_log_unitary(u, branch_tol=1e-6, allow_branch_cut=False, tol=1e-8):
+    """Principal skew-Hermitian logarithm of a unitary matrix, or of each
+    matrix of a stack (..., n, n).
+
+    Eigenphases land in (-pi, pi]. An eigenphase within branch_tol of the
+    cut at pi is refused unless allow_branch_cut is set, because a phase
+    straddling the cut makes the branch choice arbitrary. 2 x 2 matrices
+    take a closed form, larger ones a Hermitian eigensolve.
+    """
+    u = require_unitary(np.asarray(u, dtype=np.complex128), tol=tol, name="log argument")
+    theta, log = (_log_unitary2 if u.shape[-1] == 2 else _log_unitary_eig)(u)
     if not allow_branch_cut:
         near = np.pi - np.abs(theta)
         k = np.unravel_index(np.argmin(near), near.shape)
         if near[k] < branch_tol:
             where = f" of matrix {[int(i) for i in k[:-1]]}" if u.ndim > 2 else ""
             raise BranchCutError(
-                f"eigenphase {theta[k]:+.9f} of eigenvalue {d[k]:.9f}{where} lies "
-                f"within {branch_tol:.1e} of the log branch cut at pi"
+                f"eigenphase {theta[k]:+.9f} of eigenvalue {np.exp(1j * theta[k]):.9f}"
+                f"{where} lies within {branch_tol:.1e} of the log branch cut at pi"
             )
-    log = (v * (1j * theta)[..., None, :]) @ _adjoint(v)
-    return (log - _adjoint(log)) / 2
+    return log
 
 
 def polar_unitary(m, min_sv=1e-12):

@@ -43,3 +43,11 @@ def test_each_tolerance_reaches_the_verdict(name, key, bound):
 
 def test_every_experiment_has_a_bound_under_test():
     assert {n for n, _k in UPPER_BOUNDS + LOWER_BOUNDS} == set(EXPERIMENTS)
+
+
+def test_adiabatic_gain_reaches_the_verdict():
+    # the slow-drive gain check at short runs: two ratios a decade apart
+    # gain about 10 in deviation, so 6 passes and an infinite bound fails
+    fast = dict(adiabatic=True, ratios=(1e-2, 1e-3), adiabatic_steps=(2**14, 2**15))
+    assert _quick_run("ring-rotating", **fast, min_gain=6.0)["converged"] is True
+    assert _quick_run("ring-rotating", **fast, min_gain=math.inf)["converged"] is False

@@ -25,7 +25,7 @@ from geomphase import (
     unitary_eigenphases,
     unitary_exp,
 )
-from geomphase.linalg import _first_structure_break
+from geomphase.linalg import _first_structure_break, _log_unitary_eig
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -225,6 +225,93 @@ def test_matrix_log_near_degenerate_property(base, gap, other, seed):
     assert np.max(np.abs(a + a.conj().T)) < 1e-13
     assert np.max(np.abs(unitary_exp(a) - u)) <= 5e-13
     assert np.max(np.abs(a - scipy.linalg.logm(u))) < 1e-12
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    base=st.sampled_from([0.0, math.pi / 2, 3.0, math.pi - 1e-9]),
+    gap=st.one_of(st.just(0.0), st.floats(min_value=1e-15, max_value=1e-3)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_matrix_log_2x2_near_degenerate_property(base, gap, seed):
+    # the 2 x 2 closed form on a near-degenerate pair in a random basis,
+    # against scipy and the eigensolve path
+    phases = np.array([base, base - gap])
+    g = random_unitary(np.random.default_rng(seed), 2)
+    u = g @ np.diag(np.exp(1j * phases)) @ g.conj().T
+    at_cut = base > 3.1
+    if at_cut:
+        with pytest.raises(BranchCutError):
+            matrix_log_unitary(u)
+    a = matrix_log_unitary(u, allow_branch_cut=at_cut)
+    assert np.max(np.abs(a + a.conj().T)) < 1e-13
+    assert np.max(np.abs(unitary_exp(a) - u)) <= 5e-13
+    assert np.max(np.abs(a - scipy.linalg.logm(u))) < 1e-12
+    assert np.max(np.abs(a - _log_unitary_eig(u)[1])) < 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    phases=st.lists(st.floats(-3.1, 3.1), min_size=2, max_size=2),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_matrix_log_2x2_matches_eigensolve_path(phases, seed):
+    # any pair of principal eigenphases, singly and as a stack
+    g = random_unitary(np.random.default_rng(seed), 2)
+    u = g @ np.diag(np.exp(1j * np.array(phases))) @ g.conj().T
+    a = matrix_log_unitary(u)
+    # a close pair pins the log only to about eps / gap
+    tol = 1e-13 + 1e-15 / max(abs(phases[0] - phases[1]), 1e-3)
+    assert np.max(np.abs(a - _log_unitary_eig(u)[1])) <= tol
+    assert np.max(np.abs(a - scipy.linalg.logm(u))) <= tol
+    assert np.allclose(np.sort(np.linalg.eigvalsh(-1j * a)), np.sort(phases), atol=1e-12)
+    stack = matrix_log_unitary(np.stack([u, u.conj()]))
+    assert np.max(np.abs(stack[0] - a)) <= 1e-15 * 8
+    assert np.max(np.abs(stack[1] - a.conj())) <= 1e-15 * 8
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.floats(1e-9, 1e-2), st.floats(-1e-2, -1e-9)),
+                min_size=2, max_size=2))
+def test_matrix_log_2x2_small_phases_keep_relative_precision(phases):
+    # connection samples are logs of near-identity overlaps summed over
+    # thousands of intervals, so small phases must keep their precision
+    # relative to their size, not be rounded to the grid of phases near pi
+    a = matrix_log_unitary(np.diag(np.exp(1j * np.array(phases))))
+    err = np.max(np.abs(np.diagonal(a).imag - phases))
+    assert err <= 4 * np.finfo(float).eps * np.max(np.abs(phases))
+    assert np.max(np.abs(a - np.diag(np.diagonal(a)))) == 0.0
+
+
+def test_matrix_log_2x2_straddling_the_cut(rng):
+    # eigenphases +-(pi - 0.1) sit on both sides of the cut; the principal
+    # log keeps them there rather than joining them across it
+    for _ in range(20):
+        g = random_unitary(rng, 2)
+        u = g @ np.diag(np.exp(1j * np.array([math.pi - 0.1, -(math.pi - 0.1)]))) @ g.conj().T
+        a = matrix_log_unitary(u)
+        assert np.allclose(np.linalg.eigvalsh(-1j * a), [-(math.pi - 0.1), math.pi - 0.1],
+                           atol=1e-13)
+        assert np.max(np.abs(a - scipy.linalg.logm(u))) < 1e-13
+        assert np.max(np.abs(a - _log_unitary_eig(u)[1])) < 1e-13
+        assert np.max(np.abs(unitary_exp(a) - u)) < 1e-13
+
+
+def test_matrix_log_2x2_det_at_exactly_pi():
+    # i [[a, b], [-b, a]] has det exactly -1; its conjugate has arg det
+    # exactly -pi, so half of arg det falls on either side of the circle
+    u = 1j * np.array([[0.6, 0.8], [-0.8, 0.6]])
+    for m, arg in ((u, math.pi), (u.conj(), -math.pi)):
+        assert np.angle(np.linalg.det(m)) == arg
+        a = matrix_log_unitary(m)
+        assert np.max(np.abs(a - scipy.linalg.logm(m))) < 1e-14
+        assert np.max(np.abs(a - _log_unitary_eig(m)[1])) < 1e-14
+        assert np.max(np.abs(unitary_exp(a) - m)) < 1e-14
+    # -I: both eigenphases exactly at the cut, refused unless allowed
+    with pytest.raises(BranchCutError):
+        matrix_log_unitary(-np.eye(2, dtype=complex))
+    a = matrix_log_unitary(-np.eye(2, dtype=complex), allow_branch_cut=True)
+    assert np.array_equal(a, 1j * math.pi * np.eye(2))
 
 
 def test_matrix_log_branch_cut():
