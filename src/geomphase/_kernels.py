@@ -70,14 +70,19 @@ def _prefix_products(factors):
     return out[:m + 1]
 
 
-def _expm_herm2(h, s):
-    """exp(-i s H) for a stack of Hermitian 2 x 2 matrices (..., 2, 2).
+def _expm_herm(h, s):
+    """exp(-i s H) for a Hermitian matrix or a stack of them (..., n, n),
+    unitary to rounding.
 
-    With H = a I + K, K traceless and |K|^2 = K00^2 + |K01|^2:
-    exp(-i s H) = e^{-i a s} (cos(|K| s) I - i s sinc(|K| s) K), unitary to
-    rounding at any |K| s and exact for K = 0. Reads the diagonal and the
-    upper corner only; the steps are written into one new buffer.
+    At n = 2, with H = a I + K, K traceless and |K|^2 = K00^2 + |K01|^2:
+    exp(-i s H) = e^{-i a s} (cos(|K| s) I - i s sinc(|K| s) K), exact for
+    K = 0. It reads the diagonal and the upper corner only and writes the
+    result into one new buffer. Other sizes diagonalize H exactly.
     """
+    if h.shape[-1] != 2:
+        # the eigenbases are freed on return, before a caller allocates
+        w, v = np.linalg.eigh(h)
+        return (v * np.exp(w * (-1j * s))[..., None, :]) @ _adjoint(v)
     d0, d1 = h[..., 0, 0].real, h[..., 1, 1].real
     k0 = (d0 - d1) / 2
     k1 = h[..., 0, 1]
@@ -190,15 +195,8 @@ def propagate(h_mid, dt, psi0):
     """States (M+1, n) and cumulative propagators (M+1, n, n) of one
     midpoint-exponential step per interval.
 
-    Each step U_k = exp(-i H_k dt) comes from the 2 x 2 closed form or an
-    exact diagonalization of its midpoint Hamiltonian, so every step is
-    unitary to rounding.
+    Each step U_k = exp(-i H_k dt) of its midpoint Hamiltonian is unitary
+    to rounding.
     """
-    if h_mid.shape[-1] == 2:
-        steps = _expm_herm2(h_mid, dt)
-    else:
-        w, v = np.linalg.eigh(h_mid)
-        steps = (v * np.exp(w * (-1j * dt))[:, None, :]) @ _adjoint(v)
-        del w, v  # free the eigenbases before the propagator stack is allocated
-    props = _prefix_products(steps)
+    props = _prefix_products(_expm_herm(h_mid, dt))
     return props @ psi0, props

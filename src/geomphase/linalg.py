@@ -156,7 +156,7 @@ def _first_structure_break(ws, rel_tol=1e-8):
 
 def unitary_exp(a, tol=1e-10):
     """exp(A) for skew-Hermitian A, or for each matrix of a stack
-    (..., n, n), exactly unitary by spectral form.
+    (..., n, n), unitary to rounding (see _kernels._expm_herm).
 
     The skew-Hermiticity check covers the whole stack: one offending
     matrix refuses the call.
@@ -169,10 +169,7 @@ def unitary_exp(a, tol=1e-10):
         )
     h = -1j * a
     h = (h + _adjoint(h)) / 2
-    if h.shape[-1] == 2:
-        return _kernels._expm_herm2(h, -1.0)
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * w)[..., None, :]) @ _adjoint(v)
+    return _kernels._expm_herm(h, -1.0)
 
 
 def unitary_eigenphases(u, tol=1e-8):

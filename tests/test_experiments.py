@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from geomphase import experiments
 from geomphase.cli import build_kwargs, load_config
 from geomphase.experiments import EXPERIMENTS
 
@@ -39,6 +40,12 @@ def test_quick_run_converges(name):
                          + [(n, k, math.inf) for n, k in LOWER_BOUNDS])
 def test_each_tolerance_reaches_the_verdict(name, key, bound):
     assert _quick_run(name, **{key: bound})["converged"] is False
+
+
+def test_fixed_action_spread_bound_reaches_the_verdict(monkeypatch):
+    # the ring-action block spread is bounded by a constant, not an input
+    monkeypatch.setattr(experiments, "_ACTION_SPREAD_TOL", -1.0)
+    assert _quick_run("ring-action")["converged"] is False
 
 
 def test_every_experiment_has_a_bound_under_test():
