@@ -1,6 +1,6 @@
 """Hot numeric kernels over stacks of small matrices: Hermitian
-eigensolves, polar factors, frame alignment, ordered matrix products and
-midpoint-exponential propagation.
+eigensolves, consecutive frame overlaps, polar factors, frame alignment,
+ordered matrix products and midpoint-exponential propagation.
 
 Each factorization picks its method from the matrix shape alone. Stacks
 of n > 2 matrices, and every Hermitian eigensolve, make one numpy.linalg
@@ -155,34 +155,38 @@ def polar_unitary(m):
 
 def align_frames(frames):
     """Gauge each frame against its aligned predecessor so consecutive
-    overlaps become Hermitian positive.
+    overlaps become Hermitian positive, and return the aligned frames.
 
     The first and the last stored frames are left untouched (the endpoint
     of a closed path is identified with the start). Since
     polar(A G) = polar(A) G for unitary G, the gauge of frame k+1 is the
     polar factor of the raw overlap times the gauge of frame k: one
     batched polar call and a prefix product of the K x K polar factors
-    give every gauge, and one batched product applies them.
-    Returns the aligned frames and the smallest singular value of every
-    overlap; the caller judges them, since a nearly singular overlap has
-    no well-defined polar factor.
+    give every gauge, and one batched product applies them. A nearly
+    singular overlap has no well-defined polar factor; the path built
+    from the aligned frames refuses it (see overlap_smins).
     """
-    polars, smins = polar_unitary(_adjoint(frames[1:]) @ frames[:-1])
+    polars = polar_unitary(_adjoint(frames[1:]) @ frames[:-1])[0]
     gs = _prefix_products(polars[:-1])[1:]
     out = np.empty_like(frames)
     out[0], out[-1] = frames[0], frames[-1]
     np.matmul(frames[1:-1], gs, out=out[1:-1])
-    return out, smins
+    return out
 
 
 def overlap_smins(frames):
-    """Smallest singular value of every consecutive overlap F_k^H F_{k+1}."""
-    o = _adjoint(frames[:-1]) @ frames[1:]
+    """Consecutive overlaps F_k^H F_{k+1} of a frame stack (M+1, dim, K),
+    shape (M, K, K), and the smallest singular value of each, shape (M,).
+
+    The one place a path's overlaps are formed: an einsum, which beats a
+    batched matmul of strided K x K slices at these sizes.
+    """
+    o = np.einsum("mia,mib->mab", frames[:-1].conj(), frames[1:])
     if o.shape[-1] == 1:
-        return np.abs(o[:, 0, 0])
+        return o, np.abs(o[:, 0, 0])
     if o.shape[-1] == 2:
-        return _svals2(o)[2]
-    return np.linalg.svd(o, compute_uv=False)[:, -1]
+        return o, _svals2(o)[2]
+    return o, np.linalg.svd(o, compute_uv=False)[:, -1]
 
 
 def chain_product(mats):

@@ -10,6 +10,7 @@ import argparse
 import configparser
 import csv
 import inspect
+import io
 import json
 import math
 import sys
@@ -123,8 +124,8 @@ def render_json(runs, config_path):
 
 
 def render_csv(runs):
-    buf = []
-    out = csv.writer(_ListWriter(buf))
+    buf = io.StringIO()
+    out = csv.writer(buf)
     out.writerow(["experiment", "field", "key", "value"])
     for run in runs:
         name = run["experiment"]
@@ -134,15 +135,7 @@ def render_csv(runs):
             for key, val in sorted(rows):
                 out.writerow([name, field[:-1], key, val])
         out.writerow([name, "converged", "", run["converged"]])
-    return "".join(buf)
-
-
-class _ListWriter:
-    def __init__(self, sink):
-        self.sink = sink
-
-    def write(self, text):
-        self.sink.append(text)
+    return buf.getvalue()
 
 
 def _emit(text, output):

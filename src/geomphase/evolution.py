@@ -79,9 +79,12 @@ def evolve(family, psi0, steps=4096, duration=None):
 
 
 def energy_expectation(traj):
-    """Re <psi(t)|H(t)|psi(t)> on the grid edges."""
+    """Re <psi(t)|H(t)|psi(t)> / <psi(t)|psi(t)> on the grid edges, so a
+    norm drift of the propagator does not leak into the dynamic phase."""
+    psi = traj.states
     hs = traj.family.sample(traj.times)
-    return np.einsum("mi,mij,mj->m", traj.states.conj(), hs, traj.states).real
+    e = np.einsum("mi,mij,mj->m", psi.conj(), hs, psi).real
+    return e / np.einsum("mi,mi->m", psi.conj(), psi).real
 
 
 def dynamic_phase(traj):

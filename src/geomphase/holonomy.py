@@ -5,10 +5,12 @@ phases, and gauge transport of whole paths.
 A path stores M+1 frames on a closed parameter grid with the endpoint
 identified with the start, so the loop holonomy sits entirely in the
 last overlap and every quantity below is strictly a function of the
-sampled loop.
+sampled loop. Each path forms its consecutive overlaps once, when it is
+built, and refuses a grid too coarse for them there; every quantity
+below reads that one stack.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,11 +41,17 @@ class FramePath:
 
     frames[-1] is byte-identical to frames[0]; closure_defect records how
     far the raw sampled endpoint was from the start before identification.
+    overlaps is the read-only stack (M, K, K) of consecutive overlaps
+    <F_k | F_{k+1}>, formed at construction. A path whose weakest overlap,
+    by smallest singular value (the magnitude for one column), is at most
+    0.5 cannot be built: its samples are too far apart to follow the
+    eigenspace.
     """
 
     times: np.ndarray
     frames: np.ndarray
     closure_defect: float
+    overlaps: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -54,6 +62,15 @@ class FramePath:
             raise ValueError("grid must be strictly increasing")
         if not np.array_equal(f[-1], f[0]):
             raise NonCyclicError("endpoint frame is not identified with the start", None)
+        o, smins = _kernels.overlap_smins(f)
+        k = int(np.argmin(smins))
+        if smins[k] <= 0.5:
+            raise GridTooCoarseError(
+                f"consecutive frames nearly lose overlap at interval {k}: smallest "
+                f"singular value {smins[k]:.3f} <= 0.5, refine the grid"
+            )
+        o.flags.writeable = False
+        object.__setattr__(self, "overlaps", o)
 
     @property
     def steps(self):
@@ -66,11 +83,6 @@ class FramePath:
     @property
     def nvec(self):
         return self.frames.shape[2]
-
-    def overlaps(self):
-        """Consecutive overlap matrices <F_k | F_{k+1}>, shape (M, K, K)."""
-        f = self.frames
-        return np.einsum("mia,mib->mab", f[:-1].conj(), f[1:])
 
     def decimated(self):
         """The same loop sampled at every second grid point."""
@@ -92,72 +104,41 @@ class EigenframeSource:
     rel_tol: float = 1e-8
 
 
-def _check_overlap_strength(smins):
-    """Refuse a grid whose weakest consecutive overlap, by smallest singular
-    value (the magnitude for one column), is at most 0.5."""
-    k = int(np.argmin(smins))
-    if smins[k] <= 0.5:
-        raise GridTooCoarseError(
-            f"consecutive frames nearly lose overlap at interval {k}: smallest "
-            f"singular value {smins[k]:.3f} <= 0.5, refine the grid"
-        )
-
-
 def sample_frames(source, steps=4096, period=None):
-    """Build a closed FramePath from one of three sources.
+    """Build a closed FramePath from an EigenframeSource or from a
+    precomputed (M+1, dim, nvec) frame array over a uniform grid.
 
-    source may be an EigenframeSource, a callable t -> (dim, nvec) or
-    (dim,) array, or a precomputed (M+1, dim, nvec) array over a uniform
-    grid. Eigensolver frames are parallel-aligned, since their raw gauge
-    is noise; callables and arrays keep their own gauge. A callable or
-    array must close to 1e-8 on its own.
+    Eigensolver frames are parallel-aligned, since their raw gauge is
+    noise; an array keeps its own gauge, sets the step count itself and
+    must close to 1e-8 on its own.
     """
     if isinstance(source, EigenframeSource):
         if period is None:
             period = source.family.period
         grid = np.linspace(0.0, float(period), steps + 1)
         frames, defect = _eigenframes(source, grid)
-        # the singular values of F_{k+1}^H F_k, which alignment factors,
-        # are those of F_k^H F_{k+1}
-        frames, smins = _kernels.align_frames(frames)
-        frames[-1] = frames[0]
-    else:
-        if isinstance(source, np.ndarray):
-            frames = np.ascontiguousarray(source, dtype=np.complex128)
-            if frames.ndim != 3:
-                raise ValueError(f"frame array must be (M+1, dim, nvec), got {frames.shape}")
-            steps = frames.shape[0] - 1
-            if period is None:
-                raise ValueError("array sources need an explicit period")
-            grid = np.linspace(0.0, float(period), steps + 1)
-        else:
-            if period is None:
-                raise ValueError("callable sources need an explicit period")
-            grid = np.linspace(0.0, float(period), steps + 1)
-            first = np.asarray(source(grid[0]), dtype=np.complex128)
-            if first.ndim == 1:
-                first = first[:, None]
-            frames = np.empty((steps + 1,) + first.shape, dtype=np.complex128)
-            frames[0] = first
-            for k in range(1, steps + 1):
-                fk = np.asarray(source(grid[k]), dtype=np.complex128)
-                frames[k] = fk[:, None] if fk.ndim == 1 else fk
-        gram = np.einsum("mia,mib->mab", frames.conj(), frames)
-        gdef = float(np.max(np.abs(gram - np.eye(frames.shape[2]))))
-        if gdef > 1e-10:
-            raise UnitarityError(
-                f"sampled frames are not orthonormal: max |F^H F - I| = {gdef:.3e}"
-            )
-        defect = float(np.max(np.abs(frames[-1] - frames[0])))
-        if defect > 1e-8:
-            raise NonCyclicError(
-                f"frame path does not close: endpoint deviates by {defect:.3e} "
-                "from the start (tolerance 1e-8)",
-                defect,
-            )
-        frames[-1] = frames[0]
-        smins = _kernels.overlap_smins(frames)
-    _check_overlap_strength(smins)
+        # alignment keeps both ends, which _eigenframes identified
+        return FramePath(grid, _kernels.align_frames(frames), defect)
+    frames = np.ascontiguousarray(source, dtype=np.complex128)
+    if frames.ndim != 3:
+        raise ValueError(f"frame array must be (M+1, dim, nvec), got {frames.shape}")
+    if period is None:
+        raise ValueError("array sources need an explicit period")
+    grid = np.linspace(0.0, float(period), frames.shape[0])
+    gram = np.einsum("mia,mib->mab", frames.conj(), frames)
+    gdef = float(np.max(np.abs(gram - np.eye(frames.shape[2]))))
+    if gdef > 1e-10:
+        raise UnitarityError(
+            f"sampled frames are not orthonormal: max |F^H F - I| = {gdef:.3e}"
+        )
+    defect = float(np.max(np.abs(frames[-1] - frames[0])))
+    if defect > 1e-8:
+        raise NonCyclicError(
+            f"frame path does not close: endpoint deviates by {defect:.3e} "
+            "from the start (tolerance 1e-8)",
+            defect,
+        )
+    frames[-1] = frames[0]
     return FramePath(grid, frames, defect)
 
 
@@ -198,12 +179,10 @@ def connection_samples(path):
     Sample k approximates the connection one-form integrated over interval
     k, so the samples sum to the phase matrix of the loop.
     """
-    o = path.overlaps()
+    o = path.overlaps
     if path.nvec == 1:
-        _check_overlap_strength(np.abs(o[:, 0, 0]))
         return (-np.angle(o[:, 0, 0]))[:, None, None].astype(np.complex128)
-    u, smins = _kernels.polar_unitary(o)
-    _check_overlap_strength(smins)
+    u = _kernels.polar_unitary(o)[0]
     try:
         # the log is exactly skew-Hermitian, so i * log is exactly Hermitian
         return 1j * matrix_log_unitary(u)
@@ -221,8 +200,7 @@ def phase_matrix(path):
 
 def wilson_loop(path):
     """Unitary part of the ordered overlap product around the loop."""
-    o = np.ascontiguousarray(path.overlaps())
-    return polar_unitary(_kernels.chain_product(o))
+    return polar_unitary(_kernels.chain_product(path.overlaps))
 
 
 def berry_phase(path):
@@ -234,9 +212,8 @@ def berry_phase(path):
     """
     if path.nvec != 1:
         raise ValueError(f"berry_phase needs a single-vector path, got nvec={path.nvec}")
-    o = path.overlaps()[:, 0, 0]
+    o = path.overlaps[:, 0, 0]
     mags = np.abs(o)
-    _check_overlap_strength(mags)
     by_sum = mod_2pi(-np.sum(np.angle(o)))
     by_product = mod_2pi(-np.angle(np.prod(o / mags)))
     gap = circular_distance(by_sum, by_product)

@@ -26,23 +26,22 @@ ID2 = np.eye(2, dtype=np.complex128)
 class OperatorFamily:
     """Periodic Hermitian matrix family t -> H(t).
 
+    sampler maps a time array (M,) to the stack of matrices (M, dim, dim).
     The declared period is part of the contract: H(0) and H(period) must
     agree to 1e-10 relative, checked once at construction.
     """
 
-    def __init__(self, dim, period, sampler, batch_sampler=None, label="family"):
+    def __init__(self, dim, period, sampler, label="family"):
         if period <= 0.0:
             raise ValueError(f"period must be positive, got {period}")
         self.dim = int(dim)
         self.period = float(period)
         self.label = label
         self._sampler = sampler
-        self._batch = batch_sampler
-        h0 = np.asarray(sampler(0.0), dtype=np.complex128)
+        h0, hT = self.sample([0.0, self.period])
         if h0.shape != (self.dim, self.dim):
             raise ValueError(f"sampler returned shape {h0.shape}, expected {(dim, dim)}")
         require_hermitian(h0, tol=1e-10, name=f"{label} sample")
-        hT = np.asarray(sampler(self.period), dtype=np.complex128)
         scale = max(1.0, float(np.max(np.abs(h0))))
         defect = float(np.max(np.abs(hT - h0)))
         if defect > 1e-10 * scale:
@@ -52,16 +51,11 @@ class OperatorFamily:
             )
 
     def __call__(self, t):
-        return np.asarray(self._sampler(float(t)), dtype=np.complex128)
+        return self.sample([float(t)])[0]
 
     def sample(self, times):
         times = np.asarray(times, dtype=float)
-        if self._batch is not None:
-            return np.ascontiguousarray(self._batch(times), dtype=np.complex128)
-        out = np.empty((times.size, self.dim, self.dim), dtype=np.complex128)
-        for k, t in enumerate(times.ravel()):
-            out[k] = self._sampler(float(t))
-        return out
+        return np.ascontiguousarray(self._sampler(times), dtype=np.complex128)
 
 
 def trig_family(c0, c1, c2, omega, period=None, label="family"):
@@ -74,15 +68,12 @@ def trig_family(c0, c1, c2, omega, period=None, label="family"):
             raise ValueError("a constant family needs an explicit period")
         period = TWO_PI / abs(omega)
 
-    def one(t):
-        return c0 + math.cos(omega * t) * c1 + math.sin(omega * t) * c2
-
     def many(ts):
         co = np.cos(omega * ts)[:, None, None]
         si = np.sin(omega * ts)[:, None, None]
         return c0[None, :, :] + co * c1 + si * c2
 
-    return OperatorFamily(c0.shape[0], period, one, many, label=label)
+    return OperatorFamily(c0.shape[0], period, many, label=label)
 
 
 def constant_family(c0, period, label="family"):
@@ -91,7 +82,7 @@ def constant_family(c0, period, label="family"):
     def many(ts):
         return np.broadcast_to(c0, (ts.size,) + c0.shape).copy()
 
-    return OperatorFamily(c0.shape[0], period, lambda t: c0, many, label=label)
+    return OperatorFamily(c0.shape[0], period, many, label=label)
 
 
 def _cone_frame(theta, omega, t):
@@ -419,16 +410,10 @@ def assemble_blocks(families, period=None, label="direct sum"):
     total = sum(dims)
     offs = np.concatenate(([0], np.cumsum(dims)))
 
-    def one(t):
-        h = np.zeros((total, total), dtype=np.complex128)
-        for f, a, b in zip(families, offs[:-1], offs[1:]):
-            h[a:b, a:b] = f(t)
-        return h
-
     def many(ts):
         h = np.zeros((ts.size, total, total), dtype=np.complex128)
         for f, a, b in zip(families, offs[:-1], offs[1:]):
             h[:, a:b, a:b] = f.sample(ts)
         return h
 
-    return OperatorFamily(total, period, one, many, label=label)
+    return OperatorFamily(total, period, many, label=label)

@@ -5,6 +5,7 @@ be exact to roundoff. The rotating ring has an exact solution through the
 co-rotating frame, which pins the time-dependent path as well.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -112,6 +113,16 @@ def test_energy_and_dynamic_phase():
     e = energy_expectation(traj)
     assert np.max(np.abs(e - 0.5)) < 1e-13
     assert abs(dynamic_phase(traj) + 0.5 * traj.duration) < 1e-10
+
+
+def test_dynamic_phase_ignores_norm_drift():
+    # a propagator that lets the norm drift by delta must not shift the
+    # dynamic phase by about 2 delta times the integrated energy
+    m = RotatingRingBlock(n=1, eps=0.5, chi=math.pi / 3)
+    traj = evolve(m.hamiltonian, m.state("+"), steps=1024)
+    scaled = dataclasses.replace(traj, states=traj.states * (1 + 1e-6))
+    assert abs(dynamic_phase(traj)) > 1.0
+    assert abs(dynamic_phase(scaled) - dynamic_phase(traj)) < 1e-12
 
 
 def test_aa_decomposition_spin():

@@ -88,7 +88,7 @@ def test_connection_samples_match_scipy_per_interval(rng):
     path, _m = rotating_path(steps=256)
     path = gauge_transform(path, random_unitary_gauge(rng, 257, 2, amplitude=0.8))
     a = connection_samples(path)
-    o = path.overlaps()
+    o = path.overlaps
     for k in range(path.steps):
         u, _p = scipy.linalg.polar(o[k])
         assert np.max(np.abs(a[k] - 1j * scipy.linalg.logm(u))) < 1e-12
@@ -232,21 +232,38 @@ def test_coarse_grid_refused():
         spin_path(math.pi / 4, steps=2)
 
 
-def test_coarse_frame_path_refused_by_every_consumer():
-    # a FramePath built directly skips sample_frames, so each consumer of
-    # its overlaps must refuse the coarse grid itself, with the same guard
+def test_coarse_frame_path_refused_at_construction():
+    # a FramePath built directly skips sample_frames, and still cannot
+    # exist on a grid too coarse for its overlaps
     m = SpinHalf(theta=math.pi / 4)
     times = np.linspace(0.0, m.period, 3)
     col = m.frame_batch(times)[:, :, :1]
     col[-1] = col[0]
-    one = FramePath(times, col, 0.0)
-    two = FramePath(times, np.kron(np.eye(2), col), 0.0)
-    assert two.frames.shape == (3, 4, 2)
+    two = np.kron(np.eye(2), col)
+    assert two.shape == (3, 4, 2)
     guard = r"at interval [01]: smallest singular value 0\.000 <= 0\.5"
-    for fn, path in ((connection_samples, one), (phase_matrix, one), (berry_phase, one),
-                     (connection_samples, two), (phase_matrix, two)):
+    for frames in (col, two):
         with pytest.raises(GridTooCoarseError, match=guard):
-            fn(path)
+            FramePath(times, frames, 0.0)
+
+
+def test_decimation_refuses_a_coarse_half_grid():
+    # at theta = pi/4 the overlap magnitude is |cos(pi / M)|: 0.71 at four
+    # steps, 0 at two
+    path, _m = spin_path(math.pi / 4, steps=4)
+    assert np.min(np.abs(path.overlaps)) > 0.7
+    with pytest.raises(GridTooCoarseError, match="refine the grid"):
+        path.decimated()
+
+
+def test_overlaps_match_einsum_and_are_read_only():
+    path, _m = rotating_path(steps=64)
+    f = path.frames
+    want = np.einsum("mia,mib->mab", f[:-1].conj(), f[1:])
+    assert np.array_equal(path.overlaps, want)
+    assert not path.overlaps.flags.writeable
+    with pytest.raises(ValueError):
+        path.overlaps[0, 0, 0] = 1.0
 
 
 def test_aligned_coarse_grid_refused():
@@ -269,11 +286,10 @@ def test_eigenframe_split_grid_refused():
 def test_open_path_refused():
     # a quarter turn over the nominal period: the endpoint frame misses
     # the start by a finite amount
-    def open_source(t):
-        return np.array([math.cos(t / 4), math.sin(t / 4)], dtype=complex)
-
+    t = np.linspace(0.0, TWO_PI, 65)
+    open_frames = np.stack([np.cos(t / 4), np.sin(t / 4)], axis=1)[:, :, None]
     with pytest.raises(NonCyclicError) as exc:
-        sample_frames(open_source, steps=64, period=TWO_PI)
+        sample_frames(open_frames, period=TWO_PI)
     assert exc.value.defect > 0.1
 
 
@@ -282,20 +298,6 @@ def test_fully_degenerate_family_gives_whole_space():
     path = sample_frames(EigenframeSource(fam, group=0), steps=64)
     assert path.nvec == 2
     assert np.max(np.abs(phase_matrix(path))) < 1e-12
-
-
-def test_callable_source_matches_array_source():
-    m = SpinHalf(theta=0.7)
-    steps = 256
-
-    def source(t):
-        return m.frame(t)[:, :1]
-
-    p1 = sample_frames(source, steps=steps, period=m.period)
-    frames = m.frame_batch(np.linspace(0, m.period, steps + 1))[:, :, :1]
-    p2 = sample_frames(frames, steps=steps, period=m.period)
-    assert np.max(np.abs(p1.frames - p2.frames)) < 1e-13
-    assert circular_distance(berry_phase(p1), berry_phase(p2)) == 0.0
 
 
 def test_decimation_and_report():

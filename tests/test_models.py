@@ -33,13 +33,13 @@ def mixing_oracle(eps, chi):
 
 def test_operator_family_validates_period():
     with pytest.raises(ValueError):
-        OperatorFamily(2, 1.0, lambda t: np.diag([t, -t]).astype(complex))
+        OperatorFamily(2, 1.0, lambda ts: ts[:, None, None] * np.diag([1.0, -1.0]).astype(complex))
 
 
 def test_operator_family_validates_hermiticity():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(HermiticityError):
-        OperatorFamily(2, 1.0, lambda t: bad)
+        OperatorFamily(2, 1.0, lambda ts: np.broadcast_to(bad, (ts.size, 2, 2)))
 
 
 def test_trig_family_values_and_batch(rng):
