@@ -3,9 +3,9 @@
 The package builds cyclic frames from the eigenvectors of a conserved
 operator, transports them around one period, and extracts total, dynamic
 and geometric phases, including the non-Abelian holonomy of degenerate
-levels. The numerical kernels work on stacks of small matrices, with
-every eigensolve, singular value decomposition and polar factor done by
-numpy's LAPACK bindings.
+levels. The numerical kernels work on stacks of small matrices: closed
+forms for 2 x 2 and smaller matrices, numpy's LAPACK bindings for larger
+ones.
 """
 
 from .errors import (

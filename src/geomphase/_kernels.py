@@ -3,21 +3,23 @@ eigensolves, consecutive frame overlaps, polar factors, frame alignment,
 ordered matrix products and midpoint-exponential propagation.
 
 Each factorization picks its method from the matrix shape alone. Stacks
-of n > 2 matrices, and every Hermitian eigensolve, make one numpy.linalg
-(LAPACK) call on the whole stack; eigenvalues come back ascending. At
-n <= 2 LAPACK's per-matrix overhead far outweighs the arithmetic, so the
-polar factors, smallest singular values and step exponentials there take
+of n > 2 matrices make one numpy.linalg (LAPACK) call on the whole stack;
+eigenvalues come back ascending. At n <= 2 LAPACK's per-matrix overhead
+far outweighs the arithmetic, so the Hermitian eigensolves, polar
+factors, smallest singular values and step exponentials there take
 closed forms: a 1 x 1 matrix's polar factor is its phase and its
 singular value its modulus; a 2 x 2 matrix M has the polar factor
 (M + e^{i arg det M} adj(M)^H) / sqrt(|M|_F^2 + 2 |det M|); and a 2 x 2
-Hermitian H = a I + K with K traceless has
-exp(-i s H) = e^{-i a s} (cos(|K| s) I - i s sinc(|K| s) K). The ordered
-products (propagators, alignment gauges, the Wilson loop) share one
-blocked scan: M factors split into blocks of about sqrt(M), the prefix
-inside every block runs as one batched product per block position, and a
-short chain over the block totals carries the blocks together. That is
-about 2M small products in about 2 sqrt(M) numpy calls, and inside a
-block the products still associate in sequence.
+Hermitian H = a I + K with K traceless has the eigenvalues a -+ |K| and
+exp(-i s H) = e^{-i a s} (cos(|K| s) I - i s sinc(|K| s) K). Stacked
+overlaps and Grams F^H G come from one vecdot, which conjugates F as it
+reads it instead of copying it. The ordered products (propagators,
+alignment gauges, the Wilson loop) share one blocked scan: M factors
+split into blocks of about sqrt(M), the prefix inside every block runs as
+one batched product per block position, and a short chain over the block
+totals carries the blocks together. That is about 2M small products in
+about 2 sqrt(M) numpy calls, and inside a block the products still
+associate in sequence.
 """
 
 import math
@@ -27,6 +29,12 @@ import numpy as np
 
 def _adjoint(m):
     return np.conj(np.swapaxes(m, -1, -2))
+
+
+def _gram(f, g):
+    """Stacked products F^H G of (..., n, K) and (..., n, L) stacks, shape
+    (..., K, L), without a conjugated copy of F."""
+    return np.vecdot(f[..., :, :, None], g[..., :, None, :], axis=-3)
 
 
 def _block_scan(factors):
@@ -123,8 +131,42 @@ def _svals2(m):
 
 def eigh_batch(hs):
     """Ascending eigenvalues (M, n) and eigenvector columns (M, n, n) of a
-    stack of Hermitian matrices."""
-    return np.linalg.eigh(hs)
+    stack of Hermitian matrices.
+
+    At n = 2, with H = a I + K, K = [[k0, k1], [k1*, -k0]] and
+    r = hypot(k0, |k1|), the eigenvalues are a -+ r. The +r eigenvector
+    is (r + k0, k1*) for k0 >= 0 and (k1, r - k0) otherwise, so no
+    component cancels, normalized by hypot(r + |k0|, |k1|); the -r
+    eigenvector (y*, -x*) of the +r one (x, y) makes every basis special
+    unitary, and K = 0 gives exactly I. It reads the diagonal and the
+    upper corner only. Other sizes go to LAPACK.
+    """
+    if hs.shape[-1] != 2:
+        return np.linalg.eigh(hs)
+    d0, d1 = hs[..., 0, 0].real, hs[..., 1, 1].real
+    a = (d0 + d1) / 2
+    k0 = (d0 - d1) / 2
+    k1 = hs[..., 0, 1]
+    ak1 = np.abs(k1)
+    r = np.hypot(k0, ak1)
+    pos = k0 >= 0
+    x = np.where(pos, r + k0, k1)
+    y = np.where(pos, np.conj(k1), r - k0)
+    norm = np.hypot(r + np.abs(k0), ak1)
+    # K = 0: every basis is an eigenbasis, and (x, y) = (0, 1) picks I
+    zero = norm == 0
+    inv = 1 / np.where(zero, 1.0, norm)
+    x = x * inv
+    y = np.where(zero, 1.0, y) * inv
+    w = np.empty(r.shape + (2,))
+    w[..., 0] = a - r
+    w[..., 1] = a + r
+    v = np.empty(hs.shape, np.complex128)
+    v[..., 0, 0] = np.conj(y)
+    v[..., 1, 0] = -np.conj(x)
+    v[..., 0, 1] = x
+    v[..., 1, 1] = y
+    return w, v
 
 
 def polar_unitary(m):
@@ -166,7 +208,7 @@ def align_frames(frames):
     singular overlap has no well-defined polar factor; the path built
     from the aligned frames refuses it (see overlap_smins).
     """
-    polars = polar_unitary(_adjoint(frames[1:]) @ frames[:-1])[0]
+    polars = polar_unitary(_gram(frames[1:], frames[:-1]))[0]
     gs = _prefix_products(polars[:-1])[1:]
     out = np.empty_like(frames)
     out[0], out[-1] = frames[0], frames[-1]
@@ -178,10 +220,9 @@ def overlap_smins(frames):
     """Consecutive overlaps F_k^H F_{k+1} of a frame stack (M+1, dim, K),
     shape (M, K, K), and the smallest singular value of each, shape (M,).
 
-    The one place a path's overlaps are formed: an einsum, which beats a
-    batched matmul of strided K x K slices at these sizes.
+    The one place a path's overlaps are formed.
     """
-    o = np.einsum("mia,mib->mab", frames[:-1].conj(), frames[1:])
+    o = _gram(frames[:-1], frames[1:])
     if o.shape[-1] == 1:
         return o, np.abs(o[:, 0, 0])
     if o.shape[-1] == 2:

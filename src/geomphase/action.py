@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .holonomy import berry_phase, connection_samples, sample_frames
+from . import _kernels
+from .holonomy import _array_path, berry_phase, connection_samples
 from .linalg import TWO_PI
 
 
@@ -52,16 +53,17 @@ def as_frame_path(tp, norm_tol=1e-6):
     """
     vals = tp.values
     m1, n_phi = vals.shape[0], vals.shape[1]
-    flat = vals.reshape(m1, -1)
-    norms = np.sqrt(np.einsum("mi,mi->m", flat.conj(), flat).real / n_phi)
+    flat = vals.reshape(m1, -1, 1)
+    norms = np.sqrt(_kernels._gram(flat, flat)[:, 0, 0].real / n_phi)
     drift = float(np.max(np.abs(norms - 1.0)))
     if drift > norm_tol:
         raise ValueError(
             f"torus path is not normalized: max norm deviation {drift:.3e} "
             f"> {norm_tol:.1e}"
         )
-    frames = (flat / (norms[:, None] * np.sqrt(n_phi)))[:, :, None]
-    return sample_frames(frames, period=float(tp.thetas[-1] - tp.thetas[0]))
+    # the scaled copy is the path's own, so it needs no second copy
+    frames = flat * (1 / (norms * np.sqrt(n_phi)))[:, None, None]
+    return _array_path(frames, float(tp.thetas[-1] - tp.thetas[0]))
 
 
 def torus_phase(tp):

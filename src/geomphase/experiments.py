@@ -35,7 +35,7 @@ def _frame_path(model, steps, column=None):
     fb = model.frame_batch(grid)
     if column is not None:
         fb = fb[:, :, column:column + 1]
-    return sample_frames(np.ascontiguousarray(fb), period=model.period)
+    return sample_frames(fb, period=model.period)
 
 
 def _fmt(x):
@@ -241,8 +241,7 @@ def run_ring_action(n=(0, 1, 2), omega=1.0, eps=0.5, chi=math.pi / 3, n_phi=64,
             dens = m.references[f"connection_{name}"]
             grid = np.linspace(0.0, TWO_PI, steps + 1)
             bare = berry_phase(
-                sample_frames(np.ascontiguousarray(m.band_frame(grid)[:, :, col:col + 1]),
-                              period=TWO_PI)
+                sample_frames(m.band_frame(grid)[:, :, col:col + 1], period=TWO_PI)
             )
             phases[br].append(ph)
             r[f"torus_{name}"] = ph

@@ -41,11 +41,12 @@ class FramePath:
 
     frames[-1] is byte-identical to frames[0]; closure_defect records how
     far the raw sampled endpoint was from the start before identification.
-    overlaps is the read-only stack (M, K, K) of consecutive overlaps
-    <F_k | F_{k+1}>, formed at construction. A path whose weakest overlap,
-    by smallest singular value (the magnitude for one column), is at most
-    0.5 cannot be built: its samples are too far apart to follow the
-    eigenspace.
+    The path owns its frames and makes them read-only, so they cannot
+    drift from the overlaps formed from them. overlaps is the read-only
+    stack (M, K, K) of consecutive overlaps <F_k | F_{k+1}>, formed at
+    construction. A path whose weakest overlap, by smallest singular value
+    (the magnitude for one column), is at most 0.5 cannot be built: its
+    samples are too far apart to follow the eigenspace.
     """
 
     times: np.ndarray
@@ -69,7 +70,9 @@ class FramePath:
                 f"consecutive frames nearly lose overlap at interval {k}: smallest "
                 f"singular value {smins[k]:.3f} <= 0.5, refine the grid"
             )
+        f.flags.writeable = False
         o.flags.writeable = False
+        object.__setattr__(self, "frames", f)
         object.__setattr__(self, "overlaps", o)
 
     @property
@@ -104,28 +107,42 @@ class EigenframeSource:
     rel_tol: float = 1e-8
 
 
-def sample_frames(source, steps=4096, period=None):
+def sample_frames(source, steps=None, period=None):
     """Build a closed FramePath from an EigenframeSource or from a
     precomputed (M+1, dim, nvec) frame array over a uniform grid.
 
     Eigensolver frames are parallel-aligned, since their raw gauge is
-    noise; an array keeps its own gauge, sets the step count itself and
-    must close to 1e-8 on its own.
+    noise, over `steps` intervals (4096 by default). An array is copied
+    and keeps its own gauge; its length sets the step count, which a
+    given `steps` must match, and it must close to 1e-8 on its own.
     """
     if isinstance(source, EigenframeSource):
         if period is None:
             period = source.family.period
+        if steps is None:
+            steps = 4096
         grid = np.linspace(0.0, float(period), steps + 1)
         frames, defect = _eigenframes(source, grid)
         # alignment keeps both ends, which _eigenframes identified
         return FramePath(grid, _kernels.align_frames(frames), defect)
-    frames = np.ascontiguousarray(source, dtype=np.complex128)
+    frames = np.array(source, dtype=np.complex128, order="C")
     if frames.ndim != 3:
         raise ValueError(f"frame array must be (M+1, dim, nvec), got {frames.shape}")
+    if steps is not None and steps != frames.shape[0] - 1:
+        raise ValueError(
+            f"steps={steps} does not match a frame array of {frames.shape[0]} samples"
+        )
     if period is None:
         raise ValueError("array sources need an explicit period")
+    return _array_path(frames, period)
+
+
+def _array_path(frames, period):
+    """Closed FramePath from a frame array (M+1, dim, nvec) the path may
+    own: checked orthonormal and closed, then its endpoint identified with
+    the start in place."""
     grid = np.linspace(0.0, float(period), frames.shape[0])
-    gram = np.einsum("mia,mib->mab", frames.conj(), frames)
+    gram = _kernels._gram(frames, frames)
     gdef = float(np.max(np.abs(gram - np.eye(frames.shape[2]))))
     if gdef > 1e-10:
         raise UnitarityError(
@@ -233,7 +250,7 @@ def gauge_transform(path, gauges, end_tol=1e-12):
             f"gauge path must have shape {(path.times.size, path.nvec, path.nvec)}, "
             f"got {g.shape}"
         )
-    gram = np.einsum("mab,mac->mbc", g.conj(), g)
+    gram = _kernels._gram(g, g)
     gdef = float(np.max(np.abs(gram - np.eye(path.nvec))))
     if gdef > 1e-10:
         raise UnitarityError(f"gauge factors are not unitary: defect {gdef:.3e}")

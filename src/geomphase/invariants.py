@@ -7,7 +7,6 @@ actual propagator.
 import numpy as np
 
 from . import _kernels
-from ._kernels import _adjoint
 from .errors import TrackingAmbiguityError
 from .evolution import evolve
 from .linalg import _first_structure_break, group_degenerate
@@ -91,7 +90,7 @@ def transport_error(hamiltonian, invariant, steps=4096, duration=None, rel_tol=1
     for g in groups:
         carried = props @ vs[0][:, g]
         fg = vs[:, :, g]
-        resid = carried - fg @ (_adjoint(fg) @ carried)
+        resid = carried - fg @ _kernels._gram(fg, carried)
         worst = max(worst, float(np.max(np.linalg.norm(resid, axis=(1, 2)))))
     return worst
 

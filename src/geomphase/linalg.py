@@ -50,7 +50,7 @@ def require_hermitian(m, tol=1e-10, name="matrix"):
 
 def require_unitary(m, tol=1e-10, name="matrix"):
     m = np.asarray(m)
-    defect = np.max(np.abs(_adjoint(m) @ m - np.eye(m.shape[-1])))
+    defect = np.max(np.abs(_kernels._gram(m, m) - np.eye(m.shape[-1])))
     if defect > tol:
         raise UnitarityError(
             f"{name} is not unitary: max |M^H M - I| = {defect:.3e} > {tol:.1e}"

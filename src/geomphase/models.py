@@ -389,13 +389,11 @@ class ActionRingBlock:
         theta = np.asarray(theta, dtype=float)
         out = np.empty(theta.shape + (self.n_phi, 2), dtype=np.complex128)
         out[..., 0] = a * np.exp(1j * self.n * self.phi_grid)
-        # the lower component exp(i((n+1) phi - theta)) is built in place,
-        # so a whole path of samples allocates nothing beyond its output
-        dn = out[..., 1]
-        dn.real = 0.0
-        np.subtract((self.n + 1) * self.phi_grid, theta[..., None], out=dn.imag)
-        np.exp(dn, out=dn)
-        dn *= b
+        # the lower component is the outer product e^{-i theta} x
+        # b e^{i(n+1) phi}: one exp per winding sample and per grid point,
+        # not one per pair
+        np.multiply(np.exp(-1j * theta)[..., None],
+                    b * np.exp(1j * (self.n + 1) * self.phi_grid), out=out[..., 1])
         return out
 
 

@@ -43,6 +43,32 @@ def test_torus_branches_orthogonal():
         assert abs(torus_inner(p, m)) < 1e-13
 
 
+def test_torus_state_matches_per_sample_exponential():
+    # the lower component b e^{i((n+1) phi - theta)} against the same
+    # phase in extended precision, and against one exp per sample of the
+    # summed phase, which is off by that sum's rounding (half an ulp of
+    # 6 pi at n = 2: 1.8e-15) and so moves by more than the new form
+    ulp = np.finfo(float).eps
+    thetas = np.linspace(0.0, 2 * math.pi, 4097)
+    for n in (0, 1, 2):
+        for eps, chi in ((0.5, math.pi / 3), (0.3, math.pi / 6)):
+            b = ActionRingBlock(n=n, eps=eps, chi=chi)
+            cm, sm = math.cos(b.theta_mix), math.sin(b.theta_mix)
+            x = (n + 1) * b.phi_grid
+            phase = x - thetas[:, None]
+            ext = x.astype(np.longdouble) - thetas[:, None].astype(np.longdouble)
+            for branch, (upper, lower) in (("+", (cm, sm)), ("-", (-sm, cm))):
+                psi = b.torus_state(branch, thetas)
+                assert psi.shape == (4097, b.n_phi, 2)
+                up = upper * np.exp(1j * n * b.phi_grid)
+                assert np.array_equal(psi[..., 0], np.broadcast_to(up, psi.shape[:2]))
+                exact = np.longdouble(lower) * (np.cos(ext) + 1j * np.sin(ext))
+                assert np.max(np.abs(psi[..., 1] - exact)) <= 2 * ulp
+                per_sample = lower * np.exp(1j * phase)
+                bound = np.spacing(np.max(np.abs(phase))) / 2 + 4 * ulp
+                assert np.max(np.abs(psi[..., 1] - per_sample)) <= bound
+
+
 def test_torus_states_orthogonal_across_n():
     # different radial labels live on different angular harmonics
     a = ActionRingBlock(n=0, n_phi=64)
@@ -98,6 +124,20 @@ def test_frame_path_equivalence():
     fp = as_frame_path(tp)
     assert fp.nvec == 1
     assert circular_distance(berry_phase(fp), torus_phase(tp)) < 1e-10
+
+
+def test_norm_tol_is_the_refusal_edge():
+    b = ActionRingBlock(n=0, n_phi=32)
+    tp = torus_path(b, "+", steps=64)
+    want = berry_phase(as_frame_path(tp))
+    for tol in (1e-6, 1e-3):
+        kept = as_frame_path(TorusPath(tp.thetas, tp.values * (1 + 0.5 * tol)), norm_tol=tol)
+        # renormalized exactly, in a copy the path owns
+        assert np.max(np.abs(np.linalg.norm(kept.frames, axis=1) - 1.0)) <= 1e-15
+        assert not np.shares_memory(kept.frames, tp.values)
+        assert circular_distance(berry_phase(kept), want) < 1e-12
+        with pytest.raises(ValueError, match="max norm deviation 2.000e-0"):
+            as_frame_path(TorusPath(tp.thetas, tp.values * (1 + 2 * tol)), norm_tol=tol)
 
 
 def test_norm_drift_rejected():

@@ -257,13 +257,39 @@ def test_decimation_refuses_a_coarse_half_grid():
 
 
 def test_overlaps_match_einsum_and_are_read_only():
+    # against one product per interval; summation orders differ by a
+    # rounding of the unit-sized entries
     path, _m = rotating_path(steps=64)
     f = path.frames
-    want = np.einsum("mia,mib->mab", f[:-1].conj(), f[1:])
-    assert np.array_equal(path.overlaps, want)
+    want = np.stack([f[k].conj().T @ f[k + 1] for k in range(path.steps)])
+    assert np.max(np.abs(path.overlaps - want)) <= 1e-15
     assert not path.overlaps.flags.writeable
     with pytest.raises(ValueError):
         path.overlaps[0, 0, 0] = 1.0
+
+
+def test_array_source_is_copied_and_frames_are_read_only():
+    # the raw endpoint misses the start by a rounding, so identifying it
+    # in place would write into the caller's array
+    m = SpinHalf(theta=math.pi / 3)
+    f = np.ascontiguousarray(m.frame_batch(np.linspace(0.0, m.period, 65))[:, :, :1])
+    assert not np.array_equal(f[-1], f[0])
+    before = f.copy()
+    path = sample_frames(f, period=m.period)
+    assert np.array_equal(f, before)
+    assert path.frames is not f and not np.shares_memory(path.frames, f)
+    assert not path.frames.flags.writeable
+    with pytest.raises(ValueError):
+        path.frames[0, 0, 0] = 1.0
+
+
+def test_array_source_steps_must_match():
+    m = SpinHalf(theta=math.pi / 3)
+    f = m.frame_batch(np.linspace(0.0, m.period, 65))[:, :, :1]
+    with pytest.raises(ValueError, match=r"steps=256 does not match a frame array of 65"):
+        sample_frames(f, steps=256, period=m.period)
+    assert sample_frames(f, steps=64, period=m.period).steps == 64
+    assert sample_frames(EigenframeSource(m.invariant)).steps == 4096
 
 
 def test_aligned_coarse_grid_refused():

@@ -11,7 +11,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geomphase import RotatingRingBlock, _kernels, random_unitary_gauge
+from geomphase import RotatingRingBlock, StaticRingBlock, _kernels, random_unitary_gauge
 
 # Every kernel test runs on the one build, plain numpy over LAPACK. The
 # id keeps the label that build's results have always been reported
@@ -64,6 +64,92 @@ def test_eigh_batch_consistent_with_single(kern, rng):
     wb, vb = kern.eigh_batch(h)
     for i in range(7):
         assert np.max(np.abs(h[i] @ vb[i] - vb[i] * wb[i])) < 1e-12
+
+
+def assert_eigh2_matches_lapack(h):
+    """The closed-form 2 x 2 eigensolve against numpy.linalg.eigh, relative
+    to each matrix's scale: eigenvalues to 1e-13, the eigenprojectors of a
+    split pair to 1e-13 over the relative gap, and the residual and
+    orthonormality at the bounds of the general test."""
+    w, v = _kernels.eigh_batch(h)
+    w0, v0 = np.linalg.eigh(h)
+    scale = np.max(np.abs(h), axis=(-2, -1))
+    assert w.shape == w0.shape and v.shape == v0.shape
+    assert np.all(np.diff(w, axis=-1) >= 0)
+    assert np.all(np.abs(w - w0) <= 1e-13 * scale[..., None])
+    resid = np.max(np.abs(h @ v - v * w[..., None, :]), axis=(-2, -1))
+    assert np.all(resid <= 1e-12 * scale)
+    assert np.max(np.abs(np.swapaxes(v.conj(), -1, -2) @ v - np.eye(2))) < 1e-13
+    gap = w0[..., 1] - w0[..., 0]
+    split = gap > 1e-6 * scale
+    for j in (0, 1):
+        p = v[..., :, j, None] * v[..., None, :, j].conj()
+        p0 = v0[..., :, j, None] * v0[..., None, :, j].conj()
+        err = np.max(np.abs(p - p0), axis=(-2, -1))
+        assert np.all(err[split] <= 1e-13 * scale[split] / gap[split])
+
+
+def hermitian2(d0, d1, k1):
+    h = np.empty(np.shape(k1) + (2, 2), np.complex128)
+    h[..., 0, 0], h[..., 1, 1] = d0, d1
+    h[..., 0, 1], h[..., 1, 0] = k1, np.conj(k1)
+    return h
+
+
+def test_eigh_2x2_scalar_identity_gives_exact_identity():
+    # K = 0: every basis is an eigenbasis, and the closed form returns I
+    c = np.array([0.0, -3.5, 8.0, 1e150, 1e-150])
+    w, v = _kernels.eigh_batch(hermitian2(c, c, np.zeros(5)))
+    assert np.array_equal(w, np.stack([c, c], axis=1))
+    assert np.array_equal(v, np.broadcast_to(np.eye(2), v.shape))
+
+
+@pytest.mark.parametrize("d0, d1, k1", [
+    (3.0, 1.0, 0.0),            # k1 = 0, k0 > 0
+    (1.0, 3.0, 0.0),            # k1 = 0, k0 < 0
+    (2.0, 2.0, 1.0 + 1.0j),     # k0 = 0
+    (2.0, 2.0, -0.5j),          # k0 = 0, imaginary corner
+    (0.3, -0.7, 1e-9 - 2e-9j),  # corner far below the diagonal split
+])
+def test_eigh_2x2_axis_cases_match_lapack(d0, d1, k1):
+    h = hermitian2(d0, d1, np.array([k1]))
+    assert_eigh2_matches_lapack(h)
+    if k1 == 0:
+        w, v = _kernels.eigh_batch(h)
+        assert np.array_equal(w[0], np.sort([d0, d1]))
+        assert np.array_equal(np.abs(v[0]), np.abs(np.linalg.eigh(h)[1][0]))
+
+
+def test_eigh_2x2_offset_like_the_static_ring(rng):
+    # the n = 2 static-ring invariant sits at 8 I plus a traceless part of
+    # order one, so its eigenvalues carry 8 I's rounding
+    m = StaticRingBlock(n=2, cone=math.pi / 6)
+    h = m.invariant.sample(np.linspace(0.0, m.invariant.period, 257))
+    assert np.allclose(np.trace(h, axis1=1, axis2=2).real, 16.0)
+    assert_eigh2_matches_lapack(h)
+    assert_eigh2_matches_lapack(8.0 * np.eye(2) + random_hermitian(rng, 2, batch=(64,)))
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e-150])
+def test_eigh_2x2_extreme_scales(scale, rng):
+    assert_eigh2_matches_lapack(scale * random_hermitian(rng, 2, batch=(64,)))
+    assert_eigh2_matches_lapack(scale * hermitian2(1.0, -1.0, np.array([0.0, 1e-3, 1j])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    entries=st.lists(st.tuples(*[st.floats(-1.0, 1.0, allow_subnormal=False)] * 4),
+                     min_size=1, max_size=8),
+    exponent=st.integers(-150, 150),
+)
+def test_eigh_2x2_matches_lapack_property(entries, exponent):
+    # each matrix normalized to largest real part 1, then scaled by
+    # 10^exponent, so its scale is a normal number
+    e = np.array(entries)
+    peak = np.max(np.abs(e), axis=1)
+    e[peak > 0] /= peak[peak > 0, None]
+    h = hermitian2(e[:, 0], e[:, 1], e[:, 2] + 1j * e[:, 3])
+    assert_eigh2_matches_lapack(h * 10.0 ** exponent)
 
 
 @on_build

@@ -25,7 +25,7 @@ from geomphase import (
     unitary_eigenphases,
     unitary_exp,
 )
-from geomphase.linalg import _first_structure_break, _log_unitary_eig
+from geomphase.linalg import _first_structure_break, _log_unitary_eig, require_unitary
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -325,6 +325,18 @@ def test_matrix_log_branch_cut():
 def test_matrix_log_rejects_non_unitary():
     with pytest.raises(UnitarityError):
         matrix_log_unitary(1.5 * np.eye(2, dtype=complex))
+
+
+def test_require_unitary_refuses_one_bad_matrix(rng):
+    for n in (2, 3):
+        stack = np.stack([random_unitary(rng, n) for _ in range(16)])
+        assert require_unitary(stack) is stack
+        stack[7] *= 1 + 1e-9
+        with pytest.raises(UnitarityError, match=r"max \|M\^H M - I\| = 2\.0"):
+            require_unitary(stack)
+        with pytest.raises(UnitarityError):
+            require_unitary(stack[7])
+        require_unitary(stack[6])
 
 
 def test_polar_unitary_properties(rng):
