@@ -1,6 +1,7 @@
 """Kernel layer against numpy.linalg and scipy.linalg oracles.
-Eigenvector columns are only ever compared through residuals, since a
-degenerate or sign-free column has no unique value to compare."""
+Eigenvector columns are only ever compared through residuals and
+eigenprojectors, since a degenerate or phase-free column has no unique
+value to compare."""
 
 import functools
 import math
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from geomphase import RotatingRingBlock, StaticRingBlock, _kernels, random_unitary_gauge
 
-# Every kernel test runs on the one build, plain numpy over LAPACK. The
+# Every kernel test runs on the one build, plain numpy. The
 # id keeps the label that build's results have always been reported
 # under.
 on_build = pytest.mark.parametrize("kern", [_kernels], ids=["pure-kern0"])
