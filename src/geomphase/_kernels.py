@@ -11,15 +11,21 @@ closed forms: a 1 x 1 matrix's polar factor is its phase and its
 singular value its modulus; a 2 x 2 matrix M has the polar factor
 (M + e^{i arg det M} adj(M)^H) / sqrt(|M|_F^2 + 2 |det M|); and a 2 x 2
 Hermitian H = a I + K with K traceless has the eigenvalues a -+ |K| and
-exp(-i s H) = e^{-i a s} (cos(|K| s) I - i s sinc(|K| s) K). Stacked
-overlaps and Grams F^H G come from one vecdot, which conjugates F as it
-reads it instead of copying it. The ordered products (propagators,
-alignment gauges, the Wilson loop) share one blocked scan: M factors
-split into blocks of about sqrt(M), the prefix inside every block runs as
-one batched product per block position, and a short chain over the block
-totals carries the blocks together. That is about 2M small products in
-about 2 sqrt(M) numpy calls, and inside a block the products still
-associate in sequence.
+exp(-i s H) = e^{-i a s} (cos(|K| s) I - i s sinc(|K| s) K).
+
+Stacked products and Grams F^H G pick their method from the inner
+dimension alone. numpy's matmul pays a fixed cost per matrix that
+outweighs the arithmetic of an inner dimension <= 2, so there a product
+is a broadcast sum over the inner index: the outer product at 1, two
+outer products added at 2. Longer inner dimensions take matmul (the
+4 x 4 direct sum) and Grams with a longer core take one vecdot, which
+conjugates F as it reads it instead of copying it. The ordered products
+(propagators, alignment gauges, the Wilson loop) share one blocked
+scan: M factors split into blocks of about sqrt(M), the prefix inside
+every block runs as one batched product per block position, and a short
+chain over the block totals carries the blocks together. That is about
+2M small products in about 2 sqrt(M) numpy calls, and inside a block the
+products still associate in sequence.
 """
 
 import math
@@ -31,17 +37,46 @@ def _adjoint(m):
     return np.conj(np.swapaxes(m, -1, -2))
 
 
+def _matmul(a, b, out=None):
+    """Stacked product a @ b of (..., m, k) and (..., k, p) stacks, chosen
+    by the inner dimension k.
+
+    At k = 1 the broadcast a * b is the outer product; at k = 2 the
+    product is a[..., :1] * b[..., :1, :] + a[..., 1:] * b[..., 1:, :].
+    The second term is formed before out is written, so out may alias a
+    or b. Other k take np.matmul.
+    """
+    k = a.shape[-1]
+    if k == 1:
+        return np.multiply(a, b, out=out)
+    if k != 2:
+        return np.matmul(a, b, out=out)
+    second = a[..., 1:] * b[..., 1:, :]
+    out = np.multiply(a[..., :1], b[..., :1, :], out=out)
+    out += second
+    return out
+
+
 def _gram(f, g):
     """Stacked products F^H G of (..., n, K) and (..., n, L) stacks, shape
-    (..., K, L), without a conjugated copy of F."""
+    (..., K, L).
+
+    A core of n <= 2 rows is a broadcast sum over the conjugated rows of
+    F (see _matmul); a longer core goes to one vecdot, which conjugates F
+    as it reads it instead of copying it.
+    """
+    if f.shape[-2] <= 2:
+        return _matmul(_adjoint(f), g)
     return np.vecdot(f[..., :, :, None], g[..., :, None, :], axis=-3)
 
 
 def _block_scan(factors):
     """Blocked left-multiplying scan of a stack of M square factors.
 
-    The stack is padded with identities to B blocks of L = isqrt(M)
-    factors. Returns the block-local prefixes f (B, L, n, n), where
+    The factors split into B blocks of L = isqrt(M). When they fill whole
+    blocks and are C-contiguous the scan runs in their own buffer and
+    overwrites them; otherwise they are copied and padded with
+    identities. Returns the block-local prefixes f (B, L, n, n), where
     f[b, j] = factors[bL+j] @ ... @ factors[bL], and the carries
     (B, n, n), where carry[b] is the product of all blocks before b
     (carry[0] = I), so the prefix through factor bL+j is
@@ -50,12 +85,17 @@ def _block_scan(factors):
     m, n = factors.shape[0], factors.shape[-1]
     size = max(1, math.isqrt(m))
     nblocks = max(1, -(-m // size))
-    f = np.empty((nblocks * size, n, n), np.complex128)
-    f[:m] = factors
-    f[m:] = np.eye(n)
-    f = f.reshape(nblocks, size, n, n)
+    if nblocks * size == m and factors.flags.c_contiguous:
+        f = factors.reshape(nblocks, size, n, n)
+    else:
+        f = np.empty((nblocks * size, n, n), np.complex128)
+        f[:m] = factors
+        f[m:] = np.eye(n)
+        f = f.reshape(nblocks, size, n, n)
     for j in range(1, size):
-        f[:, j] = f[:, j] @ f[:, j - 1]
+        # assigned, not written through out: numpy's overlap handling
+        # makes an aliased out about twice as slow on these strided slabs
+        f[:, j] = _matmul(f[:, j], f[:, j - 1])
     carry = np.empty((nblocks, n, n), np.complex128)
     carry[0] = np.eye(n)
     for b in range(1, nblocks):
@@ -67,14 +107,15 @@ def _prefix_products(factors):
     """Prefix products P (M+1, n, n) of a stack of M factors:
     P[0] = I exactly and P[k+1] = factors[k] @ P[k].
 
-    The blocks combine straight into P's buffer, which holds the padded
-    tail (fewer than sqrt(M) matrices) beyond the returned view.
+    Consumes factors: when they fill whole blocks the scan runs in their
+    buffer. The blocks combine straight into P's buffer, which holds the
+    padded tail (fewer than sqrt(M) matrices) beyond the returned view.
     """
     m, n = factors.shape[0], factors.shape[-1]
     f, carry = _block_scan(factors)
     out = np.empty((1 + f.shape[0] * f.shape[1], n, n), np.complex128)
     out[0] = np.eye(n)
-    np.matmul(f, carry[:, None], out=out[1:].reshape(f.shape))
+    _matmul(f, carry[:, None], out=out[1:].reshape(f.shape))
     return out[:m + 1]
 
 
@@ -212,7 +253,7 @@ def align_frames(frames):
     gs = _prefix_products(polars[:-1])[1:]
     out = np.empty_like(frames)
     out[0], out[-1] = frames[0], frames[-1]
-    np.matmul(frames[1:-1], gs, out=out[1:-1])
+    _matmul(frames[1:-1], gs, out=out[1:-1])
     return out
 
 
@@ -232,6 +273,8 @@ def overlap_smins(frames):
 
 def chain_product(mats):
     """Ordered product mats[0] @ mats[1] @ ... @ mats[-1]."""
+    # the reversed view is not contiguous, so the scan copies it and mats
+    # is left as it is (a single factor is never written)
     f, carry = _block_scan(mats[::-1])
     return f[-1, -1] @ carry[-1]
 
@@ -244,4 +287,4 @@ def propagate(h_mid, dt, psi0):
     to rounding.
     """
     props = _prefix_products(_expm_herm(h_mid, dt))
-    return props @ psi0, props
+    return _matmul(props, psi0[:, None])[..., 0], props

@@ -15,10 +15,6 @@ from . import _kernels
 from .errors import HermiticityError, NonCyclicError, NonCyclicWarning
 from .linalg import circular_distance, mod_2pi
 
-_trapezoid = getattr(np, "trapezoid", None)
-if _trapezoid is None:  # numpy < 2
-    _trapezoid = np.trapz
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -89,7 +85,7 @@ def energy_expectation(traj):
 
 def dynamic_phase(traj):
     """Minus the time integral of the energy expectation (trapezoid)."""
-    return float(-_trapezoid(energy_expectation(traj), traj.times))
+    return float(-np.trapezoid(energy_expectation(traj), traj.times))
 
 
 def cyclic_defect(traj):

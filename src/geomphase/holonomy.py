@@ -259,7 +259,7 @@ def gauge_transform(path, gauges, end_tol=1e-12):
         raise ValueError(
             f"gauge path must close, |g(T) - g(0)| = {enddef:.3e} > {end_tol:.1e}"
         )
-    new = path.frames @ g
+    new = _kernels._matmul(path.frames, g)
     new[-1] = new[0]
     return FramePath(path.times, new, path.closure_defect)
 

@@ -88,9 +88,9 @@ def transport_error(hamiltonian, invariant, steps=4096, duration=None, rel_tol=1
     worst = 0.0
     props = traj.propagators
     for g in groups:
-        carried = props @ vs[0][:, g]
+        carried = _kernels._matmul(props, vs[0][:, g])
         fg = vs[:, :, g]
-        resid = carried - fg @ _kernels._gram(fg, carried)
+        resid = carried - _kernels._matmul(fg, _kernels._gram(fg, carried))
         worst = max(worst, float(np.max(np.linalg.norm(resid, axis=(1, 2)))))
     return worst
 

@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from . import _kernels
 from .errors import DegenerateMixingError
 from .linalg import TWO_PI, require_hermitian
 
@@ -260,7 +261,7 @@ class StaticRingBlock:
 
     def frame_batch(self, times):
         cones = _cone_frame(self.cone, self.splitting, np.asarray(times, dtype=float))
-        return self.band_basis[None, :, :] @ cones
+        return _kernels._matmul(self.band_basis, cones)
 
     def state(self, branch, t=0.0):
         return self.frame(t)[:, _branch_column(branch)]

@@ -5,6 +5,7 @@ value to compare."""
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -207,8 +208,9 @@ def test_prefix_products_match_sequential_loop(m, n, unitary, seed):
     else:
         factors = (rng.normal(size=(m, n, n))
                    + 1j * rng.normal(size=(m, n, n))) / math.sqrt(n)
-    got = _kernels._prefix_products(factors)
+    # the scan consumes its factors, so the oracle reads them first
     want = sequential_prefix(factors)
+    got = _kernels._prefix_products(factors)
     assert got.shape == (m + 1, n, n)
     assert np.array_equal(got[0], np.eye(n))
     if unitary:
@@ -220,6 +222,76 @@ def test_prefix_products_match_sequential_loop(m, n, unitary, seed):
         err = np.linalg.norm(got - want, axis=(1, 2))
         size = np.linalg.norm(want, axis=(1, 2))
         assert np.all(err <= 16 * k * np.finfo(float).eps * size)
+
+
+def random_complex(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def assert_product_close(got, want, a, b):
+    # each entry sums k products, each rounded to a few eps of |a| |b|
+    k = a.shape[-1]
+    tol = 4 * k * np.finfo(float).eps * np.max(np.abs(a)) * np.max(np.abs(b))
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= tol
+
+
+@pytest.mark.parametrize("a_shape, b_shape", [
+    ((40, 3, 1), (40, 1, 4)),      # inner dimension 1: the outer product
+    ((40, 4, 2), (40, 2, 3)),      # inner dimension 2: the broadcast sum
+    ((40, 2, 3), (40, 3, 2)),      # inner dimension 3: np.matmul
+    ((6, 7, 2, 2), (6, 1, 2, 2)),  # the scan's combine: blocks times carries
+    ((40, 2, 2), (2, 1)),          # propagators times a column state
+    ((2, 2), (40, 2, 2)),          # one matrix times a stack
+])
+def test_matmul_matches_numpy(a_shape, b_shape, rng):
+    a, b = random_complex(rng, a_shape), random_complex(rng, b_shape)
+    want = np.matmul(a, b)
+    assert_product_close(_kernels._matmul(a, b), want, a, b)
+    out = np.empty(want.shape, np.complex128)
+    assert _kernels._matmul(a, b, out=out) is out
+    assert_product_close(out, want, a, b)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_matmul_out_may_alias_either_operand(k, rng):
+    # an in-place scan step: f[:, j] @ f[:, j-1] written over f[:, j]
+    f = random_complex(rng, (9, 4, k, k))
+    a, b = f[:, 2].copy(), f[:, 1].copy()
+    _kernels._matmul(f[:, 2], f[:, 1], out=f[:, 2])
+    assert_product_close(f[:, 2], a @ b, a, b)
+    _kernels._matmul(f[:, 0], f[:, 1], out=f[:, 1])
+    assert_product_close(f[:, 1], f[:, 0] @ b, f[:, 0], b)
+
+
+@pytest.mark.parametrize("core", [1, 2, 3])
+@pytest.mark.parametrize("k, el", [(1, 1), (2, 2), (1, 2)])
+def test_gram_matches_per_matrix_products(core, k, el, rng):
+    f, g = random_complex(rng, (30, core, k)), random_complex(rng, (30, core, el))
+    got = _kernels._gram(f, g)
+    want = np.stack([fi.conj().T @ gi for fi, gi in zip(f, g)])
+    assert_product_close(got, want, np.swapaxes(f, -1, -2), g)
+
+
+def test_propagate_peak_memory_is_three_stacks():
+    # the scan runs in the step buffer and the blocks combine straight
+    # into the propagators, so at its peak propagate holds the steps, the
+    # result and one temporary, three (M+1, 2, 2) stacks, plus the fixed
+    # buffers numpy's broadcasting iterator takes
+    m = 2**14
+    ring = RotatingRingBlock(n=0, eps=0.5, chi=math.pi / 3)
+    dt = ring.period / m
+    h_mid = ring.hamiltonian.sample((np.arange(m) + 0.5) * dt)
+    psi0 = ring.state("+")
+    stack = (m + 1) * 4 * np.dtype(np.complex128).itemsize
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _kernels.propagate(h_mid, dt, psi0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * stack
 
 
 @on_build
