@@ -255,7 +255,7 @@ def test_matmul_matches_numpy(a_shape, b_shape, rng):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_matmul_out_may_alias_either_operand(k, rng):
-    # an in-place scan step: f[:, j] @ f[:, j-1] written over f[:, j]
+    # an in-place product: f[:, j] @ f[:, j-1] written over f[:, j]
     f = random_complex(rng, (9, 4, k, k))
     a, b = f[:, 2].copy(), f[:, 1].copy()
     _kernels._matmul(f[:, 2], f[:, 1], out=f[:, 2])
@@ -286,6 +286,7 @@ def test_propagate_peak_memory_is_three_stacks():
     stack = (m + 1) * 4 * np.dtype(np.complex128).itemsize
     tracemalloc.start()
     try:
+        tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
         _kernels.propagate(h_mid, dt, psi0)
         peak = tracemalloc.get_traced_memory()[1] - base
