@@ -108,14 +108,18 @@ def _prefix_products(factors):
     P[0] = I exactly and P[k+1] = factors[k] @ P[k].
 
     Consumes factors: when they fill whole blocks the scan runs in their
-    buffer. The blocks combine straight into P's buffer, which holds the
-    padded tail (fewer than sqrt(M) matrices) beyond the returned view.
+    buffer. Each block's L prefixes, stacked as one (L n) x n matrix, take
+    their carry in one product, so the combine is B products with no
+    temporary, straight into P's buffer, which holds the padded tail
+    (fewer than sqrt(M) matrices) beyond the returned view.
     """
     m, n = factors.shape[0], factors.shape[-1]
     f, carry = _block_scan(factors)
+    nblocks = f.shape[0]
     out = np.empty((1 + f.shape[0] * f.shape[1], n, n), np.complex128)
     out[0] = np.eye(n)
-    _matmul(f, carry[:, None], out=out[1:].reshape(f.shape))
+    np.matmul(f.reshape(nblocks, -1, n), carry,
+              out=out[1:].reshape(nblocks, -1, n))
     return out[:m + 1]
 
 
