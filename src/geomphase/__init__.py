@@ -17,20 +17,16 @@ from .errors import (
     GridTooCoarseError,
     HermiticityError,
     NonCyclicError,
-    NonCyclicWarning,
     RankDeficiencyError,
     SkewHermiticityError,
     TrackingAmbiguityError,
     UnitarityError,
 )
 from .linalg import (
-    Frame,
     circular_distance,
-    eigh,
     group_degenerate,
     matrix_log_unitary,
     mod_2pi,
-    overlap_matrix,
     polar_unitary,
     unitary_eigenphases,
     unitary_exp,
@@ -54,7 +50,6 @@ from .evolution import (
     dynamic_phase,
     energy_expectation,
     evolve,
-    total_phase,
 )
 from .invariants import (
     decompose_state,
@@ -76,7 +71,7 @@ from .holonomy import (
     wilson_loop,
 )
 from .action import TorusPath, as_frame_path, torus_connection, torus_path, torus_phase
-from .ringstate import RingState, assembled_evolve, blockwise_evolve, ring_inner
+from .ringstate import RingState, assembled_evolve, blockwise_evolve
 from .experiments import EXPERIMENTS
 
 __version__ = "0.1.0"
@@ -93,13 +88,9 @@ __all__ = [
     "TrackingAmbiguityError",
     "DegenerateMixingError",
     "NonCyclicError",
-    "NonCyclicWarning",
     "ConfigError",
-    "Frame",
     "mod_2pi",
     "circular_distance",
-    "overlap_matrix",
-    "eigh",
     "group_degenerate",
     "unitary_exp",
     "unitary_eigenphases",
@@ -120,7 +111,6 @@ __all__ = [
     "energy_expectation",
     "dynamic_phase",
     "cyclic_defect",
-    "total_phase",
     "aa_phase",
     "invariance_residual",
     "eigenvalue_drift",
@@ -143,7 +133,6 @@ __all__ = [
     "torus_phase",
     "torus_connection",
     "RingState",
-    "ring_inner",
     "blockwise_evolve",
     "assembled_evolve",
     "EXPERIMENTS",

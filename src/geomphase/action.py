@@ -12,17 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from .errors import UnitarityError
 from .holonomy import _array_path, berry_phase, connection_samples
 from .linalg import TWO_PI
-
-
-def torus_inner(a, b):
-    """Mean-over-grid inner product of two sampled wavefunctions."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return complex(np.vdot(a, b) / a.shape[0])
 
 
 @dataclass(frozen=True)
@@ -49,15 +41,16 @@ def as_frame_path(tp, norm_tol=1e-6):
 
     Sampled wavefunctions whose norms drift more than norm_tol from one
     are refused; below that the flattened vectors are renormalized
-    exactly, which shifts no phases.
+    exactly, which shifts no phases. A single normalized column is
+    orthonormal, so the path needs no second Gram.
     """
     vals = tp.values
     m1, n_phi = vals.shape[0], vals.shape[1]
     flat = vals.reshape(m1, -1, 1)
     norms = np.sqrt(_kernels._gram(flat, flat)[:, 0, 0].real / n_phi)
     drift = float(np.max(np.abs(norms - 1.0)))
-    if drift > norm_tol:
-        raise ValueError(
+    if not drift <= norm_tol:
+        raise UnitarityError(
             f"torus path is not normalized: max norm deviation {drift:.3e} "
             f"> {norm_tol:.1e}"
         )

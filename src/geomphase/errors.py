@@ -56,7 +56,3 @@ class NonCyclicError(GeomPhaseError):
 
 class ConfigError(GeomPhaseError):
     """Malformed experiment configuration."""
-
-
-class NonCyclicWarning(UserWarning):
-    """Evolution is only approximately cyclic; phases carry that caveat."""

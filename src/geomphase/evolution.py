@@ -6,14 +6,16 @@ The propagator uses one midpoint exponential per interval, so each step
 is exactly unitary and constant Hamiltonians are integrated exactly.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .errors import HermiticityError, NonCyclicError, NonCyclicWarning
-from .linalg import circular_distance, mod_2pi
+from .errors import HermiticityError, NonCyclicError
+from .linalg import mod_2pi
+
+# a cyclic defect above this leaves the phase split undefined
+CYCLIC_TOL = 1e-2
 
 
 @dataclass(frozen=True)
@@ -41,7 +43,6 @@ class PhaseReport:
     geometric: float
     cyclic_defect: float
     steps: int
-    convergence: float | None = None
 
 
 def evolve(family, psi0, steps=4096, duration=None):
@@ -56,7 +57,7 @@ def evolve(family, psi0, steps=4096, duration=None):
     if psi0.shape != (family.dim,):
         raise ValueError(f"state shape {psi0.shape} does not match dim {family.dim}")
     nrm = np.linalg.norm(psi0)
-    if abs(nrm - 1.0) > 1e-10:
+    if not abs(nrm - 1.0) <= 1e-10:
         raise ValueError(f"initial state must be normalized, |psi| = {nrm:.12f}")
     if duration is None:
         duration = family.period
@@ -65,7 +66,7 @@ def evolve(family, psi0, steps=4096, duration=None):
     hs = family.sample(mids)
     defect = float(np.max(np.abs(hs - hs.conj().transpose(0, 2, 1))))
     scale = max(1.0, float(np.max(np.abs(hs))))
-    if defect > 1e-10 * scale:
+    if not defect <= 1e-10 * scale:
         raise HermiticityError(
             f"family {family.label!r} produced non-Hermitian samples: "
             f"max defect {defect:.3e}"
@@ -96,44 +97,21 @@ def cyclic_defect(traj):
     return float(np.linalg.norm(traj.states[-1] - (o / abs(o)) * traj.states[0]))
 
 
-def total_phase(traj, warn_tol=1e-4):
-    """arg <psi(0)|psi(T)>, warning if the run is visibly non-cyclic."""
-    defect = cyclic_defect(traj)
-    if defect > warn_tol:
-        warnings.warn(
-            f"run is not cyclic: final state is {defect:.3e} away from the "
-            "initial ray, the total phase is only defined up to that",
-            NonCyclicWarning,
-            stacklevel=2,
-        )
-    return float(np.angle(np.vdot(traj.states[0], traj.states[-1])))
-
-
-def aa_phase(traj, cyclic_tol=1e-2, estimate_convergence=False):
+def aa_phase(traj):
     """Split the phase of a cyclic run into dynamic and geometric parts.
 
     The geometric part is returned in [0, 2*pi). A cyclic defect above
-    cyclic_tol raises: the split is meaningless when the state does not
-    come back. estimate_convergence reruns at half the step count and
-    reports the circular shift of the geometric part.
+    CYCLIC_TOL raises: the split is meaningless when the state does not
+    come back.
     """
     defect = cyclic_defect(traj)
-    if defect > cyclic_tol:
+    if not defect <= CYCLIC_TOL:
         raise NonCyclicError(
             f"cannot decompose phases: cyclic defect {defect:.3e} exceeds "
-            f"{cyclic_tol:.1e}",
+            f"{CYCLIC_TOL:.1e}",
             defect,
         )
     total = float(np.angle(np.vdot(traj.states[0], traj.states[-1])))
     dyn = dynamic_phase(traj)
     geo = float(mod_2pi(total - dyn))
-    conv = None
-    if estimate_convergence:
-        if traj.steps < 2 or traj.steps % 2:
-            raise ValueError("convergence estimate needs an even step count >= 2")
-        half = evolve(traj.family, traj.states[0], steps=traj.steps // 2,
-                      duration=traj.duration)
-        o = np.vdot(half.states[0], half.states[-1])
-        geo_half = mod_2pi(float(np.angle(o)) - dynamic_phase(half))
-        conv = float(circular_distance(geo, geo_half))
-    return PhaseReport(total, dyn, geo, defect, traj.steps, conv)
+    return PhaseReport(total, dyn, geo, defect, traj.steps)

@@ -34,6 +34,9 @@ from .linalg import (
     unitary_exp,
 )
 
+# a gauge path whose ends differ by more than this does not close
+GAUGE_END_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class FramePath:
@@ -59,13 +62,13 @@ class FramePath:
         f = np.asarray(self.frames)
         if t.ndim != 1 or t.size < 3 or f.ndim != 3 or f.shape[0] != t.size:
             raise ValueError("need times (M+1,) and frames (M+1, dim, nvec), M >= 2")
-        if np.any(np.diff(t) <= 0):
+        if not np.all(np.diff(t) > 0):
             raise ValueError("grid must be strictly increasing")
         if not np.array_equal(f[-1], f[0]):
             raise NonCyclicError("endpoint frame is not identified with the start", None)
         o, smins = _kernels.overlap_smins(f)
         k = int(np.argmin(smins))
-        if smins[k] <= 0.5:
+        if not smins[k] > 0.5:
             raise GridTooCoarseError(
                 f"consecutive frames nearly lose overlap at interval {k}: smallest "
                 f"singular value {smins[k]:.3f} <= 0.5, refine the grid"
@@ -134,22 +137,22 @@ def sample_frames(source, steps=None, period=None):
         )
     if period is None:
         raise ValueError("array sources need an explicit period")
+    gram = _kernels._gram(frames, frames)
+    gdef = float(np.max(np.abs(gram - np.eye(frames.shape[2]))))
+    if not gdef <= 1e-10:
+        raise UnitarityError(
+            f"sampled frames are not orthonormal: max |F^H F - I| = {gdef:.3e}"
+        )
     return _array_path(frames, period)
 
 
 def _array_path(frames, period):
-    """Closed FramePath from a frame array (M+1, dim, nvec) the path may
-    own: checked orthonormal and closed, then its endpoint identified with
+    """Closed FramePath from an orthonormal frame array (M+1, dim, nvec)
+    the path may own: checked closed, then its endpoint identified with
     the start in place."""
     grid = np.linspace(0.0, float(period), frames.shape[0])
-    gram = _kernels._gram(frames, frames)
-    gdef = float(np.max(np.abs(gram - np.eye(frames.shape[2]))))
-    if gdef > 1e-10:
-        raise UnitarityError(
-            f"sampled frames are not orthonormal: max |F^H F - I| = {gdef:.3e}"
-        )
     defect = float(np.max(np.abs(frames[-1] - frames[0])))
-    if defect > 1e-8:
+    if not defect <= 1e-8:
         raise NonCyclicError(
             f"frame path does not close: endpoint deviates by {defect:.3e} "
             "from the start (tolerance 1e-8)",
@@ -180,7 +183,7 @@ def _eigenframes(source, grid):
     p0 = frames[0] @ frames[0].conj().T
     pM = frames[-1] @ frames[-1].conj().T
     defect = float(np.max(np.abs(pM - p0)))
-    if defect > 1e-8:
+    if not defect <= 1e-8:
         raise NonCyclicError(
             f"eigenspace does not return to itself over the period: projector "
             f"defect {defect:.3e}",
@@ -234,7 +237,7 @@ def berry_phase(path):
     by_sum = mod_2pi(-np.sum(np.angle(o)))
     by_product = mod_2pi(-np.angle(np.prod(o / mags)))
     gap = circular_distance(by_sum, by_product)
-    if gap > 1e-9:
+    if not gap <= 1e-9:
         raise GeomPhaseError(
             f"loop phase routes disagree by {gap:.3e}: summed angles "
             f"{by_sum:.12f} vs product angle {by_product:.12f}"
@@ -242,7 +245,7 @@ def berry_phase(path):
     return float(by_sum)
 
 
-def gauge_transform(path, gauges, end_tol=1e-12):
+def gauge_transform(path, gauges):
     """Apply a closed pointwise gauge g(t) to a path: F_k -> F_k g_k."""
     g = np.asarray(gauges, dtype=np.complex128)
     if g.shape != (path.times.size, path.nvec, path.nvec):
@@ -252,12 +255,12 @@ def gauge_transform(path, gauges, end_tol=1e-12):
         )
     gram = _kernels._gram(g, g)
     gdef = float(np.max(np.abs(gram - np.eye(path.nvec))))
-    if gdef > 1e-10:
+    if not gdef <= 1e-10:
         raise UnitarityError(f"gauge factors are not unitary: defect {gdef:.3e}")
     enddef = float(np.max(np.abs(g[-1] - g[0])))
-    if enddef > end_tol:
+    if not enddef <= GAUGE_END_TOL:
         raise ValueError(
-            f"gauge path must close, |g(T) - g(0)| = {enddef:.3e} > {end_tol:.1e}"
+            f"gauge path must close, |g(T) - g(0)| = {enddef:.3e} > {GAUGE_END_TOL:.1e}"
         )
     new = _kernels._matmul(path.frames, g)
     new[-1] = new[0]

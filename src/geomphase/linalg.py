@@ -1,13 +1,10 @@
-"""Small dense linear algebra on top of the kernels: validated frames,
-Hermitian eigenbases with a fixed phase convention, unitary logs and
+"""Small dense linear algebra on top of the kernels: Hermiticity and
+unitarity guards, degenerate-cluster grouping of spectra, unitary logs and
 exponentials, polar factors, and circle arithmetic.
 
 Everything here is exact-arithmetic linear algebra; no physics. Matrices
-are plain complex ndarrays, frames are thin validated wrappers around
-column-orthonormal arrays.
+are plain complex ndarrays, single or stacked (..., n, n).
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +19,10 @@ from .errors import (
 )
 
 TWO_PI = 2.0 * np.pi
+# an eigenphase closer than this to the log branch cut at pi is refused
+BRANCH_MARGIN = 1e-6
+# a polar factor needs a smallest singular value above this
+SMIN_FLOOR = 1e-12
 
 
 def mod_2pi(x):
@@ -41,7 +42,7 @@ def circular_distance(a, b):
 def require_hermitian(m, tol=1e-10, name="matrix"):
     m = np.asarray(m)
     defect = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
-    if defect > tol:
+    if not defect <= tol:
         raise HermiticityError(
             f"{name} is not Hermitian: max |M - M^H| = {defect:.3e} > {tol:.1e}"
         )
@@ -51,76 +52,11 @@ def require_hermitian(m, tol=1e-10, name="matrix"):
 def require_unitary(m, tol=1e-10, name="matrix"):
     m = np.asarray(m)
     defect = np.max(np.abs(_kernels._gram(m, m) - np.eye(m.shape[-1])))
-    if defect > tol:
+    if not defect <= tol:
         raise UnitarityError(
             f"{name} is not unitary: max |M^H M - I| = {defect:.3e} > {tol:.1e}"
         )
     return m
-
-
-@dataclass(frozen=True)
-class Frame:
-    """Column-orthonormal set of vectors, shape (dim, nvec).
-
-    Orthonormality is checked once at construction (tolerance 1e-10);
-    downstream code may then multiply freely without revalidating.
-    """
-
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        v = np.ascontiguousarray(self.vectors, dtype=np.complex128)
-        if v.ndim != 2 or v.shape[0] < v.shape[1] or v.shape[1] < 1:
-            raise ValueError(f"frame must be (dim, nvec) with dim >= nvec >= 1, got {v.shape}")
-        gram = v.conj().T @ v
-        defect = np.max(np.abs(gram - np.eye(v.shape[1])))
-        if defect > 1e-10:
-            raise UnitarityError(
-                f"frame columns are not orthonormal: max |F^H F - I| = {defect:.3e}"
-            )
-        object.__setattr__(self, "vectors", v)
-
-    @property
-    def dim(self):
-        return self.vectors.shape[0]
-
-    @property
-    def nvec(self):
-        return self.vectors.shape[1]
-
-    def column(self, j):
-        return self.vectors[:, j]
-
-
-def overlap_matrix(f, g):
-    """<f_i | g_j> for two frames (or raw column stacks) of equal dim."""
-    a = f.vectors if isinstance(f, Frame) else np.asarray(f)
-    b = g.vectors if isinstance(g, Frame) else np.asarray(g)
-    return a.conj().T @ b
-
-
-def _fix_column_phases(v):
-    # Convention: the largest-magnitude entry of each column is made real
-    # and positive. Deterministic up to ties in |entry|.
-    v = v.copy()
-    idx = np.argmax(np.abs(v), axis=0)
-    for j in range(v.shape[1]):
-        piv = v[idx[j], j]
-        a = abs(piv)
-        if a > 0.0:
-            v[:, j] *= piv.conjugate() / a
-    return v
-
-
-def eigh(h, tol=1e-10):
-    """Eigenvalues (ascending) and eigenvector Frame of a Hermitian matrix.
-
-    Columns carry the real-positive-pivot phase convention so repeated
-    calls on the same matrix give identical frames.
-    """
-    h = require_hermitian(np.asarray(h, dtype=np.complex128), tol=tol)
-    w, v = np.linalg.eigh(h)
-    return w, Frame(_fix_column_phases(v))
 
 
 def group_degenerate(w, rel_tol=1e-8):
@@ -163,7 +99,7 @@ def unitary_exp(a, tol=1e-10):
     """
     a = np.asarray(a, dtype=np.complex128)
     defect = np.max(np.abs(a + _adjoint(a))) if a.size else 0.0
-    if defect > tol:
+    if not defect <= tol:
         raise SkewHermiticityError(
             f"matrix is not skew-Hermitian: max |A + A^H| = {defect:.3e} > {tol:.1e}"
         )
@@ -235,7 +171,7 @@ def _log_unitary_eig(u):
     # Eigenphases and log through one Hermitian eigensolve, any size.
     d, v = _diagonalize_unitary(u)
     resid = np.max(np.abs(u @ v - v * d[..., None, :]))
-    if resid > 1e-7:
+    if not resid <= 1e-7:
         raise UnitarityError(
             f"unitary diagonalization failed: eigen residual {resid:.3e}"
         )
@@ -244,11 +180,11 @@ def _log_unitary_eig(u):
     return theta, (log - _adjoint(log)) / 2
 
 
-def matrix_log_unitary(u, branch_tol=1e-6, allow_branch_cut=False, tol=1e-8):
+def matrix_log_unitary(u, allow_branch_cut=False, tol=1e-8):
     """Principal skew-Hermitian logarithm of a unitary matrix, or of each
     matrix of a stack (..., n, n).
 
-    Eigenphases land in (-pi, pi]. An eigenphase within branch_tol of the
+    Eigenphases land in (-pi, pi]. An eigenphase within BRANCH_MARGIN of the
     cut at pi is refused unless allow_branch_cut is set, because a phase
     straddling the cut makes the branch choice arbitrary. 2 x 2 matrices
     take a closed form, larger ones a Hermitian eigensolve.
@@ -258,28 +194,28 @@ def matrix_log_unitary(u, branch_tol=1e-6, allow_branch_cut=False, tol=1e-8):
     if not allow_branch_cut:
         near = np.pi - np.abs(theta)
         k = np.unravel_index(np.argmin(near), near.shape)
-        if near[k] < branch_tol:
+        if not near[k] >= BRANCH_MARGIN:
             where = f" of matrix {[int(i) for i in k[:-1]]}" if u.ndim > 2 else ""
             raise BranchCutError(
                 f"eigenphase {theta[k]:+.9f} of eigenvalue {np.exp(1j * theta[k]):.9f}"
-                f"{where} lies within {branch_tol:.1e} of the log branch cut at pi"
+                f"{where} lies within {BRANCH_MARGIN:.1e} of the log branch cut at pi"
             )
     return log
 
 
-def polar_unitary(m, min_sv=1e-12):
+def polar_unitary(m):
     """Closest unitary to m (the polar factor).
 
     Rank deficiency makes the factor non-unique, so a smallest singular
-    value at or below min_sv raises instead of silently picking one.
+    value at or below SMIN_FLOOR raises instead of silently picking one.
     """
     m = np.ascontiguousarray(m, dtype=np.complex128)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"polar factor needs a square matrix, got {m.shape}")
     u, smin = _kernels.polar_unitary(m)
-    if smin <= min_sv:
+    if not smin > SMIN_FLOOR:
         raise RankDeficiencyError(
             f"matrix is numerically rank deficient: smallest singular value "
-            f"{smin:.3e} <= {min_sv:.1e}"
+            f"{smin:.3e} <= {SMIN_FLOOR:.1e}"
         )
     return u

@@ -45,7 +45,7 @@ class OperatorFamily:
         require_hermitian(h0, tol=1e-10, name=f"{label} sample")
         scale = max(1.0, float(np.max(np.abs(h0))))
         defect = float(np.max(np.abs(hT - h0)))
-        if defect > 1e-10 * scale:
+        if not defect <= 1e-10 * scale:
             raise ValueError(
                 f"{label} is not periodic over the declared period: "
                 f"max |H(T) - H(0)| = {defect:.3e}"
@@ -135,15 +135,12 @@ class SpinHalf:
             "total": "pi",
         }
 
-    def frame(self, t):
-        """Both cone eigenvectors at time t, shape (2, 2)."""
-        return _cone_frame(self.theta, self.omega_s, t)
-
     def frame_batch(self, times):
+        """Both cone eigenvectors at each time, shape times.shape + (2, 2)."""
         return _cone_frame(self.theta, self.omega_s, np.asarray(times, dtype=float))
 
     def state(self, branch, t=0.0):
-        return self.frame(t)[:, _branch_column(branch)]
+        return self.frame_batch(t)[:, _branch_column(branch)]
 
 
 def _branch_column(branch):
@@ -162,7 +159,7 @@ def _ring_mixing(eps, chi):
     delta = eps * math.cos(chi)
     g = 1.0 - eps * math.sin(chi)
     s_sq = delta * delta + g * g
-    if s_sq <= 1e-12:
+    if not s_sq > 1e-12:
         raise DegenerateMixingError(
             f"band coupling vanishes at eps={eps}, chi={chi}: "
             "the two bands merge and the mixing angle is undefined"
@@ -256,15 +253,12 @@ class StaticRingBlock:
             "e_minus": "omega*((n + 1/2) - s/2)**2",
         }
 
-    def frame(self, t):
-        return self.band_basis @ _cone_frame(self.cone, self.splitting, t)
-
     def frame_batch(self, times):
         cones = _cone_frame(self.cone, self.splitting, np.asarray(times, dtype=float))
         return _kernels._matmul(self.band_basis, cones)
 
     def state(self, branch, t=0.0):
-        return self.frame(t)[:, _branch_column(branch)]
+        return self.frame_batch(t)[:, _branch_column(branch)]
 
 
 class RotatingRingBlock:
@@ -327,14 +321,11 @@ class RotatingRingBlock:
 
     band_frame = _band_frame
 
-    def frame(self, t):
-        return self.band_frame(self.omega_o * t)
-
     def frame_batch(self, times):
         return self.band_frame(self.omega_o * np.asarray(times, dtype=float))
 
     def state(self, branch, t=0.0):
-        return self.frame(t)[:, _branch_column(branch)]
+        return self.frame_batch(t)[:, _branch_column(branch)]
 
 
 class ActionRingBlock:

@@ -47,14 +47,6 @@ class RingState:
         return np.concatenate([self.blocks[n] for n in order])
 
 
-def ring_inner(a, b):
-    """Inner product of two sparse ring states."""
-    acc = 0.0 + 0.0j
-    for n in set(a.blocks) & set(b.blocks):
-        acc += np.vdot(a.blocks[n], b.blocks[n])
-    return complex(acc)
-
-
 @dataclass(frozen=True)
 class BlockEvolution:
     """Per-block trajectories of one run over a common time axis."""

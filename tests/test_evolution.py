@@ -14,7 +14,6 @@ import scipy.linalg
 
 from geomphase import (
     NonCyclicError,
-    NonCyclicWarning,
     RotatingRingBlock,
     SpinHalf,
     aa_phase,
@@ -24,7 +23,6 @@ from geomphase import (
     dynamic_phase,
     energy_expectation,
     evolve,
-    total_phase,
 )
 from geomphase.models import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
@@ -147,22 +145,6 @@ def test_partial_evolution_not_cyclic():
     with pytest.raises(NonCyclicError) as exc:
         aa_phase(traj)
     assert exc.value.defect > 1e-2
-
-
-def test_total_phase_warns_on_mild_defect():
-    m = SpinHalf(theta=math.pi / 6)
-    traj = evolve(m.hamiltonian, m.state("+"), steps=512,
-                  duration=m.period * (1 + 2e-4))
-    with pytest.warns(NonCyclicWarning):
-        total_phase(traj)
-
-
-def test_aa_convergence_estimate():
-    m = SpinHalf(theta=math.pi / 4)
-    traj = evolve(m.hamiltonian, m.state("+"), steps=1024)
-    rep = aa_phase(traj, estimate_convergence=True)
-    assert rep.convergence is not None
-    assert rep.convergence < 1e-8
 
 
 def test_time_dependent_hermiticity_enforced():

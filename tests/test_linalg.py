@@ -10,26 +10,18 @@ from hypothesis import strategies as st
 
 from geomphase import (
     BranchCutError,
-    Frame,
-    HermiticityError,
     RankDeficiencyError,
     SkewHermiticityError,
     UnitarityError,
     circular_distance,
-    eigh,
     group_degenerate,
     matrix_log_unitary,
     mod_2pi,
-    overlap_matrix,
     polar_unitary,
     unitary_eigenphases,
     unitary_exp,
 )
 from geomphase.linalg import _first_structure_break, _log_unitary_eig, require_unitary
-
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def random_unitary(rng, n):
@@ -54,31 +46,6 @@ def test_circular_distance_properties(rng):
         assert 0.0 <= d <= math.pi + 1e-12
         assert abs(d - circular_distance(b, a)) < 1e-12
         assert circular_distance(a, a + 2 * math.pi) < 1e-9
-
-
-def test_eigh_pauli_oracle(rng):
-    # sigma . n has eigenvalues -1, +1 for any unit n
-    for _ in range(10):
-        n = rng.normal(size=3)
-        n /= np.linalg.norm(n)
-        h = n[0] * SX + n[1] * SY + n[2] * SZ
-        w, f = eigh(h)
-        assert np.allclose(w, [-1.0, 1.0], atol=1e-13)
-        assert np.max(np.abs(h @ f.vectors - f.vectors * w)) < 1e-13
-
-
-def test_eigh_sorted_and_orthonormal(rng):
-    a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    h = (a + a.conj().T) / 2
-    w, f = eigh(h)
-    assert np.all(np.diff(w) >= 0)
-    assert np.allclose(w, np.linalg.eigvalsh(h), atol=1e-12)
-    assert np.max(np.abs(f.vectors.conj().T @ f.vectors - np.eye(6))) < 1e-12
-
-
-def test_eigh_rejects_non_hermitian(rng):
-    with pytest.raises(HermiticityError):
-        eigh(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
 
 def test_group_degenerate():
@@ -358,23 +325,6 @@ def test_polar_rank_deficient():
     m[0, 0] = 1.0
     with pytest.raises(RankDeficiencyError):
         polar_unitary(m)
-
-
-def test_frame_validation(rng):
-    good = np.linalg.qr(rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2)))[0]
-    f = Frame(good)
-    assert f.dim == 4 and f.nvec == 2
-    assert np.allclose(f.column(1), good[:, 1])
-    with pytest.raises(UnitarityError):
-        Frame(1.01 * good)
-
-
-def test_overlap_matrix(rng):
-    f = np.linalg.qr(rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2)))[0]
-    g = np.linalg.qr(rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2)))[0]
-    o = overlap_matrix(Frame(f), Frame(g))
-    assert o.shape == (2, 2)
-    assert np.allclose(o, f.conj().T @ g)
 
 
 def test_log_exp_roundtrip_property(rng):

@@ -68,7 +68,7 @@ class TestSpinHalf:
     def test_frame_diagonalizes_invariant(self, rng):
         m = SpinHalf(theta=math.pi / 5, omega_s=1.3)
         for t in rng.uniform(0, 10, size=5):
-            f = m.frame(t)
+            f = m.frame_batch(t)
             inv = m.invariant(t)
             # column 0 is the +1 eigenvector, column 1 the -1 eigenvector
             assert np.max(np.abs(inv @ f[:, 0] - f[:, 0])) < 1e-13
@@ -89,12 +89,12 @@ class TestSpinHalf:
         ts = rng.uniform(0, 7, size=6)
         fb = m.frame_batch(ts)
         for t, f in zip(ts, fb):
-            assert np.max(np.abs(f - m.frame(t))) < 1e-15
+            assert np.max(np.abs(f - m.frame_batch(t))) < 1e-15
 
     def test_state_columns(self):
         m = SpinHalf(theta=0.3)
-        assert np.allclose(m.state("+"), m.frame(0.0)[:, 0])
-        assert np.allclose(m.state("-"), m.frame(0.0)[:, 1])
+        assert np.allclose(m.state("+"), m.frame_batch(0.0)[:, 0])
+        assert np.allclose(m.state("-"), m.frame_batch(0.0)[:, 1])
 
 
 def test_coupling_matrix_spectrum(rng):
@@ -185,7 +185,7 @@ class TestRotatingRingBlock:
             b = RotatingRingBlock(n=0, eps=eps, chi=chi, omega_o=1.0)
             delta, g, s = mixing_oracle(eps, chi)
             for t in rng.uniform(0, b.period, size=4):
-                f = b.frame(t)
+                f = b.frame_batch(t)
                 m = coupling_matrix(delta, g, t)
                 assert np.max(np.abs(m @ f[:, 0] + s * f[:, 0])) < 1e-12
                 assert np.max(np.abs(m @ f[:, 1] - s * f[:, 1])) < 1e-12

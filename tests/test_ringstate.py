@@ -12,7 +12,6 @@ from geomphase import (
     assembled_evolve,
     blockwise_evolve,
     circular_distance,
-    ring_inner,
 )
 
 RT = 1 / math.sqrt(2)
@@ -44,18 +43,6 @@ def test_ring_state_accessors():
     v = s.as_vector()
     assert v.shape == (4,)
     assert np.allclose(v, [0.0, 0.8, 0.6, 0.0])
-
-
-def test_ring_inner():
-    a = RingState({0: [1.0, 0.0]})
-    b = RingState({0: [0.0, 1.0]})
-    c = RingState({1: [1.0, 0.0]})
-    assert ring_inner(a, a) == 1.0
-    assert ring_inner(a, b) == 0.0
-    # disjoint occupation: no shared block, zero overlap
-    assert ring_inner(a, c) == 0.0
-    mix = RingState({0: [RT, 0.0], 1: [0.0, RT]})
-    assert abs(ring_inner(a, mix) - RT) < 1e-15
 
 
 def test_blockwise_requires_models():
