@@ -16,19 +16,24 @@ exp(-i s H) = e^{-i a s} (cos(|K| s) I - i s sinc(|K| s) K).
 Stacked products and Grams F^H G pick their method from the inner
 dimension alone. numpy's matmul pays a fixed cost per matrix that
 outweighs the arithmetic of an inner dimension <= 2, so there a product
-is a broadcast sum over the inner index: the outer product at 1, two
-outer products added at 2. Longer inner dimensions take matmul (the
-4 x 4 direct sum) and Grams with a longer core take one vecdot, which
-conjugates F as it reads it instead of copying it. The ordered products
-(propagators, alignment gauges, the Wilson loop) share one blocked
-scan: M factors split into blocks of about sqrt(M), the prefix inside
-every block runs as one batched product per block position, and a short
-chain over the block totals carries the blocks together. That is about
-2M small products in about 2 sqrt(M) numpy calls, and inside a block the
-products still associate in sequence.
-"""
+is written entry by entry: the outer product at 1, and at 2 each entry
+a[..., i, 0] b[..., 0, j] + a[..., i, 1] b[..., 1, j] of ufuncs on
+same-shape strided views, which numpy runs without its buffered
+broadcast iterator. Longer inner dimensions take matmul (the 4 x 4
+direct sum) and Grams with a longer core take one vecdot, which
+conjugates F as it reads it instead of copying it.
 
-import math
+The ordered products (propagated states, alignment gauges, the Wilson
+loop) share one log-depth product tree. The upsweep runs in place:
+level j+1 overwrites the odd entries of level j with
+level_j[2i+1] @ level_j[2i], the later factor on the left, so entry t
+ends as the product of the factors t+1-b .. t, b the lowest set bit of
+t+1 (a Fenwick tree). A total walks the set bits of M; prefixes and
+propagated states come from a downsweep that fills the positions whose
+lowest set bit is h from the multiples of 2h, one batched product per
+level written straight into the result. That is about 2 log2 M numpy
+calls for all M prefixes, where a sequential loop makes M.
+"""
 
 import numpy as np
 
@@ -41,19 +46,28 @@ def _matmul(a, b, out=None):
     """Stacked product a @ b of (..., m, k) and (..., k, p) stacks, chosen
     by the inner dimension k.
 
-    At k = 1 the broadcast a * b is the outer product; at k = 2 the
-    product is a[..., :1] * b[..., :1, :] + a[..., 1:] * b[..., 1:, :].
-    The second term is formed before out is written, so out may alias a
-    or b. Other k take np.matmul.
+    At k = 1 the broadcast a * b is the outer product; at k = 2 each entry
+    a[..., i, 0] * b[..., 0, j] + a[..., i, 1] * b[..., 1, j] is formed
+    before any is written, so out may alias a or b. Other k take
+    np.matmul.
     """
     k = a.shape[-1]
     if k == 1:
         return np.multiply(a, b, out=out)
     if k != 2:
         return np.matmul(a, b, out=out)
-    second = a[..., 1:] * b[..., 1:, :]
-    out = np.multiply(a[..., :1], b[..., :1, :], out=out)
-    out += second
+    m, p = a.shape[-2], b.shape[-1]
+    entries = []
+    for i in range(m):
+        for j in range(p):
+            e = a[..., i, 0] * b[..., 0, j]
+            e += a[..., i, 1] * b[..., 1, j]
+            entries.append(e)
+    if out is None:
+        out = np.empty(entries[0].shape + (m, p), entries[0].dtype)
+    for i in range(m):
+        for j in range(p):
+            out[..., i, j] = entries[i * p + j]
     return out
 
 
@@ -70,57 +84,50 @@ def _gram(f, g):
     return np.vecdot(f[..., :, :, None], g[..., :, None, :], axis=-3)
 
 
-def _block_scan(factors):
-    """Blocked left-multiplying scan of a stack of M square factors.
+def _upsweep(f):
+    """Turn a stack of M square factors into their product tree, in place.
 
-    The factors split into B blocks of L = isqrt(M). When they fill whole
-    blocks and are C-contiguous the scan runs in their own buffer and
-    overwrites them; otherwise they are copied and padded with
-    identities. Returns the block-local prefixes f (B, L, n, n), where
-    f[b, j] = factors[bL+j] @ ... @ factors[bL], and the carries
-    (B, n, n), where carry[b] is the product of all blocks before b
-    (carry[0] = I), so the prefix through factor bL+j is
-    f[b, j] @ carry[b].
+    Level j+1 overwrites the odd entries of level j with
+    level_j[2i+1] @ level_j[2i], the later factor on the left, so f[t]
+    ends as factors[t] @ ... @ factors[t+1-b], b the lowest set bit of
+    t+1. One batched product per level; returns f.
     """
-    m, n = factors.shape[0], factors.shape[-1]
-    size = max(1, math.isqrt(m))
-    nblocks = max(1, -(-m // size))
-    if nblocks * size == m and factors.flags.c_contiguous:
-        f = factors.reshape(nblocks, size, n, n)
-    else:
-        f = np.empty((nblocks * size, n, n), np.complex128)
-        f[:m] = factors
-        f[m:] = np.eye(n)
-        f = f.reshape(nblocks, size, n, n)
-    for j in range(1, size):
-        # assigned, not written through out: numpy's overlap handling
-        # makes an aliased out about twice as slow on these strided slabs
-        f[:, j] = _matmul(f[:, j], f[:, j - 1])
-    carry = np.empty((nblocks, n, n), np.complex128)
-    carry[0] = np.eye(n)
-    for b in range(1, nblocks):
-        carry[b] = f[b - 1, -1] @ carry[b - 1]
-    return f, carry
+    m = f.shape[0]
+    h = 1
+    while 2 * h <= m:
+        end = m - m % (2 * h)
+        hi = f[2 * h - 1:end:2 * h]
+        _matmul(hi, f[h - 1:end:2 * h], out=hi)
+        h *= 2
+    return f
+
+
+def _downsweep(tree, x0):
+    """X (M+1, *x0.shape) with X[0] = x0 and X[k+1] = factors[k] @ X[k],
+    from the product tree (M, n, n) of the factors; x0 is (n,) or (n, K).
+
+    X[p] = tree[p-1] @ X[p-b] for b the lowest set bit of p, so the
+    positions whose lowest set bit is h come from the multiples of 2h:
+    one batched product per level, from the highest power of two <= M
+    down, written straight into X's strided views.
+    """
+    m, n = tree.shape[0], tree.shape[-1]
+    x = np.empty((m + 1, n, x0.size // n), np.complex128)
+    x[0] = x0.reshape(n, -1)
+    h = (1 << m.bit_length()) >> 1
+    while h:
+        _matmul(tree[h - 1::2 * h], x[:m + 1 - h:2 * h], out=x[h::2 * h])
+        h //= 2
+    return x.reshape((m + 1,) + x0.shape)
 
 
 def _prefix_products(factors):
     """Prefix products P (M+1, n, n) of a stack of M factors:
     P[0] = I exactly and P[k+1] = factors[k] @ P[k].
 
-    Consumes factors: when they fill whole blocks the scan runs in their
-    buffer. Each block's L prefixes, stacked as one (L n) x n matrix, take
-    their carry in one product, so the combine is B products with no
-    temporary, straight into P's buffer, which holds the padded tail
-    (fewer than sqrt(M) matrices) beyond the returned view.
+    Consumes factors: the product tree is built in their buffer.
     """
-    m, n = factors.shape[0], factors.shape[-1]
-    f, carry = _block_scan(factors)
-    nblocks = f.shape[0]
-    out = np.empty((1 + f.shape[0] * f.shape[1], n, n), np.complex128)
-    out[0] = np.eye(n)
-    np.matmul(f.reshape(nblocks, -1, n), carry,
-              out=out[1:].reshape(nblocks, -1, n))
-    return out[:m + 1]
+    return _downsweep(_upsweep(factors), np.eye(factors.shape[-1]))
 
 
 def _expm_herm(h, s):
@@ -181,7 +188,8 @@ def eigh_batch(hs):
     At n = 2, with H = a I + K, K = [[k0, k1], [k1*, -k0]] and
     r = hypot(k0, |k1|), the eigenvalues are a -+ r. The +r eigenvector
     is (r + k0, k1*) for k0 >= 0 and (k1, r - k0) otherwise, so no
-    component cancels, normalized by hypot(r + |k0|, |k1|); the -r
+    component cancels; its larger component r + |k0| divides it before
+    it is normalized by hypot(1, |k1| / (r + |k0|)); the -r
     eigenvector (y*, -x*) of the +r one (x, y) makes every basis special
     unitary, and K = 0 gives exactly I. It reads the diagonal and the
     upper corner only. Other sizes go to LAPACK.
@@ -192,17 +200,22 @@ def eigh_batch(hs):
     a = (d0 + d1) / 2
     k0 = (d0 - d1) / 2
     k1 = hs[..., 0, 1]
-    ak1 = np.abs(k1)
-    r = np.hypot(k0, ak1)
-    pos = k0 >= 0
-    x = np.where(pos, r + k0, k1)
-    y = np.where(pos, np.conj(k1), r - k0)
-    norm = np.hypot(r + np.abs(k0), ak1)
+    r = np.hypot(k0, np.abs(k1))
+    # the larger component t = r + |k0| >= |k1| divides the other first,
+    # so a subnormal |K| cannot overflow the normalization
+    t = r + np.abs(k0)
+    zero = t == 0
+    # real divisions: numpy divides complex by the reciprocal of t
+    tt = np.where(zero, 1.0, t)
+    q = np.empty(t.shape, np.complex128)
+    np.divide(k1.real, tt, out=q.real)
+    np.divide(k1.imag, tt, out=q.imag)
+    c = 1 / np.hypot(1.0, np.abs(q))
+    qc = q * c
     # K = 0: every basis is an eigenbasis, and (x, y) = (0, 1) picks I
-    zero = norm == 0
-    inv = 1 / np.where(zero, 1.0, norm)
-    x = x * inv
-    y = np.where(zero, 1.0, y) * inv
+    pos = (k0 >= 0) & ~zero
+    x = np.where(pos, c, qc)
+    y = np.where(pos, np.conj(qc), c)
     w = np.empty(r.shape + (2,))
     w[..., 0] = a - r
     w[..., 1] = a + r
@@ -277,18 +290,24 @@ def overlap_smins(frames):
 
 def chain_product(mats):
     """Ordered product mats[0] @ mats[1] @ ... @ mats[-1]."""
-    # the reversed view is not contiguous, so the scan copies it and mats
-    # is left as it is (a single factor is never written)
-    f, carry = _block_scan(mats[::-1])
-    return f[-1, -1] @ carry[-1]
+    m = mats.shape[0]
+    rev = mats[::-1]
+    # the first level is the tree's only copy, so mats is never written
+    tree = _upsweep(_matmul(rev[1::2], rev[:m - 1:2]))
+    out = mats[0].copy() if m % 2 else np.eye(mats.shape[-1], dtype=np.complex128)
+    p = tree.shape[0]
+    while p:
+        out = out @ tree[p - 1]
+        p &= p - 1
+    return out
 
 
-def propagate(h_mid, dt, psi0):
-    """States (M+1, n) and cumulative propagators (M+1, n, n) of one
-    midpoint-exponential step per interval.
+def propagate(h_mid, dt, x0):
+    """States X (M+1, *x0.shape) of a state (n,) or a column block (n, K)
+    under one midpoint-exponential step per interval: X[0] = x0 and
+    X[k+1] = U_k X[k].
 
     Each step U_k = exp(-i H_k dt) of its midpoint Hamiltonian is unitary
-    to rounding.
+    to rounding; the identity block gives the cumulative propagators.
     """
-    props = _prefix_products(_expm_herm(h_mid, dt))
-    return _matmul(props, psi0[:, None])[..., 0], props
+    return _downsweep(_upsweep(_expm_herm(h_mid, dt)), x0)

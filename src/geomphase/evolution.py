@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import HermiticityError, NonCyclicError
-from .linalg import mod_2pi
+from .errors import NonCyclicError
+from .linalg import mod_2pi, require_hermitian
 
 # a cyclic defect above this leaves the phase split undefined
 CYCLIC_TOL = 1e-2
@@ -20,12 +20,13 @@ CYCLIC_TOL = 1e-2
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States and cumulative propagators on the time grid of one run."""
+    """Propagated states on the time grid of one run: (M+1, n) for a
+    state, (M+1, n, K) for a column block. Evolving the identity block
+    gives the cumulative propagators."""
 
     family: object
     times: np.ndarray
     states: np.ndarray
-    propagators: np.ndarray
 
     @property
     def steps(self):
@@ -34,6 +35,26 @@ class Trajectory:
     @property
     def duration(self):
         return float(self.times[-1] - self.times[0])
+
+
+def _time_grid(family, steps, duration=None):
+    """The steps + 1 grid edges of a run over [0, duration]; duration
+    defaults to the family period."""
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    if duration is None:
+        duration = family.period
+    return np.linspace(0.0, float(duration), steps + 1)
+
+
+def _hermitian_samples(family, times):
+    """family.sample(times), refused with HermiticityError unless every
+    sample is Hermitian to 1e-10 of the stack's scale; a NaN or infinite
+    sample fails the check too."""
+    hs = family.sample(times)
+    scale = max(1.0, float(np.max(np.abs(hs))))
+    return require_hermitian(hs, tol=1e-10 * scale,
+                             name=f"family {family.label!r} sample stack")
 
 
 @dataclass(frozen=True)
@@ -45,34 +66,30 @@ class PhaseReport:
     steps: int
 
 
-def evolve(family, psi0, steps=4096, duration=None):
-    """Integrate i dpsi/dt = H(t) psi over [0, duration].
+def evolve(family, x0, steps=4096, duration=None):
+    """Integrate i dX/dt = H(t) X over [0, duration] for a normalized
+    state x0 (n,) or a column block x0 (n, K) with orthonormal columns.
 
     duration defaults to the family period; overriding it is how partial
     cycles and common time axes for mismatched blocks are run.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    psi0 = np.ascontiguousarray(psi0, dtype=np.complex128)
-    if psi0.shape != (family.dim,):
-        raise ValueError(f"state shape {psi0.shape} does not match dim {family.dim}")
-    nrm = np.linalg.norm(psi0)
-    if not abs(nrm - 1.0) <= 1e-10:
-        raise ValueError(f"initial state must be normalized, |psi| = {nrm:.12f}")
-    if duration is None:
-        duration = family.period
-    times = np.linspace(0.0, float(duration), steps + 1)
-    mids = 0.5 * (times[:-1] + times[1:])
-    hs = family.sample(mids)
-    defect = float(np.max(np.abs(hs - hs.conj().transpose(0, 2, 1))))
-    scale = max(1.0, float(np.max(np.abs(hs))))
-    if not defect <= 1e-10 * scale:
-        raise HermiticityError(
-            f"family {family.label!r} produced non-Hermitian samples: "
-            f"max defect {defect:.3e}"
-        )
-    states, props = _kernels.propagate(hs, float(duration) / steps, psi0)
-    return Trajectory(family, times, states, props)
+    times = _time_grid(family, steps, duration)
+    x0 = np.ascontiguousarray(x0, dtype=np.complex128)
+    if x0.ndim not in (1, 2) or x0.shape[0] != family.dim or x0.size == 0:
+        raise ValueError(f"state shape {x0.shape} does not match dim {family.dim}")
+    if x0.ndim == 1:
+        nrm = np.linalg.norm(x0)
+        if not abs(nrm - 1.0) <= 1e-10:
+            raise ValueError(f"initial state must be normalized, |psi| = {nrm:.12f}")
+    else:
+        defect = float(np.max(np.abs(x0.conj().T @ x0 - np.eye(x0.shape[1]))))
+        if not defect <= 1e-10:
+            raise ValueError(
+                f"initial columns must be orthonormal, max |X^H X - I| = {defect:.3e}"
+            )
+    hs = _hermitian_samples(family, 0.5 * (times[:-1] + times[1:]))
+    states = _kernels.propagate(hs, times[-1] / steps, x0)
+    return Trajectory(family, times, states)
 
 
 def energy_expectation(traj):

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import TrackingAmbiguityError
-from .evolution import evolve
+from .evolution import _hermitian_samples, _time_grid, evolve
 from .linalg import _first_structure_break, group_degenerate
 
 
@@ -20,7 +20,8 @@ def invariance_residual(hamiltonian, invariant, times=None, n_times=100, step=No
     """max over times of || dI/dt - i[I, H] ||_F (central differences).
 
     An exact conserved partner drives this to the finite-difference floor;
-    anything O(1) means the pair does not belong together.
+    anything O(1) means the pair does not belong together. A sample that
+    is not Hermitian, NaN included, raises HermiticityError.
     """
     if hamiltonian.dim != invariant.dim:
         raise ValueError("families act on different dimensions")
@@ -29,10 +30,10 @@ def invariance_residual(hamiltonian, invariant, times=None, n_times=100, step=No
     times = np.asarray(times, dtype=float)
     if step is None:
         step = invariant.period * 1e-6
-    ip = invariant.sample(times + step)
-    im = invariant.sample(times - step)
-    i0 = invariant.sample(times)
-    h0 = hamiltonian.sample(times)
+    ip = _hermitian_samples(invariant, times + step)
+    im = _hermitian_samples(invariant, times - step)
+    i0 = _hermitian_samples(invariant, times)
+    h0 = _hermitian_samples(hamiltonian, times)
     deriv = (ip - im) / (2.0 * step)
     comm = 1j * (i0 @ h0 - h0 @ i0)
     resid = deriv - comm
@@ -40,10 +41,13 @@ def invariance_residual(hamiltonian, invariant, times=None, n_times=100, step=No
 
 
 def eigenvalue_drift(invariant, times=None, n_times=100):
-    """max over times and levels of |lambda_j(t) - lambda_j(0)|."""
+    """max over times and levels of |lambda_j(t) - lambda_j(0)|.
+
+    A sample that is not Hermitian, NaN included, raises HermiticityError.
+    """
     if times is None:
         times = _default_times(invariant, n_times)
-    ws, _vs = _kernels.eigh_batch(invariant.sample(np.asarray(times, dtype=float)))
+    ws, _vs = _kernels.eigh_batch(_hermitian_samples(invariant, times))
     return float(np.max(np.abs(ws - ws[0])))
 
 
@@ -53,12 +57,11 @@ def transport_error(hamiltonian, invariant, steps=4096, duration=None, rel_tol=1
     For every degenerate group g and grid time t: project U(t) F_g(0) onto
     the complement of the group's eigenspace of I(t) and take the largest
     Frobenius norm. Exactly conserved partners give integrator-level noise.
-    Only the propagators enter, so the state evolved alongside is e_0.
+    The eigenbasis of I(0) is evolved as one column block, after the
+    invariant's levels are checked along the grid.
     """
-    psi0 = np.zeros(hamiltonian.dim, dtype=np.complex128)
-    psi0[0] = 1.0
-    traj = evolve(hamiltonian, psi0, steps=steps, duration=duration)
-    ws, vs = _kernels.eigh_batch(invariant.sample(traj.times))
+    times = _time_grid(hamiltonian, steps, duration)
+    ws, vs = _kernels.eigh_batch(invariant.sample(times))
     groups = group_degenerate(ws[0], rel_tol=rel_tol)
     sizes0 = [g.stop - g.start for g in groups]
     gaps = np.diff([0.5 * (ws[0][g.start] + ws[0][g.stop - 1]) for g in groups])
@@ -74,23 +77,23 @@ def transport_error(hamiltonian, invariant, steps=4096, duration=None, rel_tol=1
     if broken is not None and (lost.size == 0 or broken <= lost[0]):
         gk = group_degenerate(ws[broken], rel_tol=rel_tol)
         raise TrackingAmbiguityError(
-            f"degenerate group structure changed at t={traj.times[broken]:.6g}: "
+            f"degenerate group structure changed at t={times[broken]:.6g}: "
             f"{[g.stop - g.start for g in gk]} vs {sizes0} at t=0"
         )
     if lost.size:
         k = lost[0]
         j = np.argmax(far[k])
         raise TrackingAmbiguityError(
-            f"eigenvalue tracking lost at t={traj.times[k]:.6g}: level "
+            f"eigenvalue tracking lost at t={times[k]:.6g}: level "
             f"moved by {moved[k, j]:.3e}"
         )
 
+    carried = evolve(hamiltonian, vs[0], steps=steps, duration=duration).states
     worst = 0.0
-    props = traj.propagators
     for g in groups:
-        carried = _kernels._matmul(props, vs[0][:, g])
+        cg = carried[:, :, g]
         fg = vs[:, :, g]
-        resid = carried - _kernels._matmul(fg, _kernels._gram(fg, carried))
+        resid = cg - _kernels._matmul(fg, _kernels._gram(fg, cg))
         worst = max(worst, float(np.max(np.linalg.norm(resid, axis=(1, 2)))))
     return worst
 

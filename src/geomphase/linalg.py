@@ -40,8 +40,9 @@ def circular_distance(a, b):
 
 
 def require_hermitian(m, tol=1e-10, name="matrix"):
+    """Return m, a matrix or a stack (..., n, n), or raise HermiticityError."""
     m = np.asarray(m)
-    defect = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
+    defect = np.max(np.abs(m - np.swapaxes(m.conj(), -1, -2))) if m.size else 0.0
     if not defect <= tol:
         raise HermiticityError(
             f"{name} is not Hermitian: max |M - M^H| = {defect:.3e} > {tol:.1e}"

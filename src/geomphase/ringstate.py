@@ -28,7 +28,7 @@ class RingState:
             total += float(np.vdot(amp, amp).real)
         if not blocks:
             raise ValueError("state must occupy at least one block")
-        if abs(total - 1.0) > 1e-10:
+        if not abs(total - 1.0) <= 1e-10:
             raise ValueError(f"total weight must be 1, got {total:.12f}")
         self.blocks = blocks
 

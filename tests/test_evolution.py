@@ -75,8 +75,9 @@ def test_rotating_frame_propagator_oracle(ratio):
     w = b.omega_o
     gen = np.diag([0.0, 1.0]).astype(complex)
     h0 = b.hamiltonian(0.0)
-    # 25 periods of the level splitting, a small part of one rotation
-    traj = evolve(b.hamiltonian, b.state("+"), steps=4096,
+    # 25 periods of the level splitting, a small part of one rotation;
+    # the identity block evolves into the cumulative propagators
+    traj = evolve(b.hamiltonian, np.eye(2), steps=4096,
                   duration=50 * math.pi / probe.omega_ns)
     t = traj.times
     rot = np.exp(-1j * w * t)[:, None, None] * gen + (ID2 - gen)
@@ -85,7 +86,7 @@ def test_rotating_frame_propagator_oracle(ratio):
     want = rot @ scipy.linalg.expm(-1j * (h0 - w * gen) * t[:, None, None])
     # the midpoint step errs by the drift of H over a step, which is
     # proportional to the drive rate (measured 0.91e-4 * ratio here)
-    assert np.max(np.abs(traj.propagators - want)) <= 2e-4 * ratio
+    assert np.max(np.abs(traj.states - want)) <= 2e-4 * ratio
 
 
 def test_norm_conserved(rng):
@@ -101,6 +102,32 @@ def test_evolve_rejects_unnormalized():
     m = SpinHalf()
     with pytest.raises(ValueError):
         evolve(m.hamiltonian, np.array([1.0, 1.0], dtype=complex))
+
+
+def test_evolve_column_block_matches_identity_block(rng):
+    # the block's states are the cumulative propagators times the block
+    b = RotatingRingBlock(n=1, eps=0.3, chi=math.pi / 6, omega_o=0.9)
+    x0 = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+    props = evolve(b.hamiltonian, ID2, steps=1024).states
+    traj = evolve(b.hamiltonian, x0, steps=1024)
+    assert traj.states.shape == (1025, 2, 2)
+    assert np.max(np.abs(traj.states - props @ x0)) < 1e-13
+    col = evolve(b.hamiltonian, x0[:, :1], steps=1024).states
+    assert col.shape == (1025, 2, 1)
+    assert np.max(np.abs(col - traj.states[..., :1])) < 1e-13
+
+
+@pytest.mark.parametrize("x0", [
+    np.array([[1.0, 1.0], [0.0, 1.0]]) / math.sqrt(2),  # unit columns, not orthogonal
+    np.array([[1.0, 0.0], [0.0, 1.0 + 1e-9]]),          # one column too long
+    np.array([[1.0], [1.0]]),                           # a column of norm sqrt 2
+    np.array([[math.nan], [0.0]]),
+    np.ones((3, 1)) / math.sqrt(3),                     # wrong dimension
+    np.zeros((2, 0)),                                   # no columns
+])
+def test_evolve_rejects_non_orthonormal_block(x0):
+    with pytest.raises(ValueError):
+        evolve(SpinHalf().hamiltonian, x0, steps=8)
 
 
 def test_energy_and_dynamic_phase():
@@ -149,10 +176,9 @@ def test_partial_evolution_not_cyclic():
 
 def test_time_dependent_hermiticity_enforced():
     fam = constant_family(SIGMA_X, 1.0)
-    psi0 = np.array([1.0, 0.0], dtype=complex)
-    traj = evolve(fam, psi0, steps=8)
+    traj = evolve(fam, np.eye(2), steps=8)
     # sanity: constant sigma_x rotates the state fully in one period unit
-    u = traj.propagators[-1]
+    u = traj.states[-1]
     want = (math.cos(1.0) * ID2 - 1j * math.sin(1.0) * SIGMA_X)
     assert np.max(np.abs(u - want)) < 1e-12
 
@@ -163,6 +189,7 @@ def test_trajectory_shapes():
     assert traj.steps == 16
     assert traj.times.shape == (17,)
     assert traj.states.shape == (17, 2)
-    assert traj.propagators.shape == (17, 2, 2)
-    assert np.max(np.abs(traj.propagators[0] - ID2)) == 0.0
     assert abs(traj.duration - m.period) < 1e-12
+    props = evolve(m.hamiltonian, ID2, steps=16).states
+    assert props.shape == (17, 2, 2)
+    assert np.max(np.abs(props[0] - ID2)) == 0.0

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from geomphase import (
+    HermiticityError,
+    OperatorFamily,
     RotatingRingBlock,
     SpinHalf,
     StaticRingBlock,
@@ -69,6 +71,34 @@ def test_eigenvalue_drift_oracle():
     assert abs(eigenvalue_drift(swing, times=times) - 1.0) < 1e-12
 
 
+def _spoiled_sigma_x(bad):
+    # sigma_x at every time except 0.4 < t < 0.6, where the sample is bad;
+    # the family's own check at t = 0 and the period passes
+    def sampler(times):
+        hs = np.broadcast_to(SIGMA_X, (times.size, 2, 2)).copy()
+        hs[(times > 0.4) & (times < 0.6)] = bad
+        return hs
+    return OperatorFamily(2, 1.0, sampler)
+
+
+SPOILED = {
+    "nan": _spoiled_sigma_x(np.full((2, 2), np.nan)),
+    "non-hermitian": _spoiled_sigma_x(np.array([[0.0, 1.0], [0.0, 0.0]])),
+}
+
+
+@pytest.mark.parametrize("kind", SPOILED)
+@pytest.mark.parametrize("check", [
+    lambda fam: eigenvalue_drift(fam),
+    lambda fam: invariance_residual(constant_family(SIGMA_Z.copy(), 1.0), fam),
+    lambda fam: invariance_residual(fam, constant_family(SIGMA_X.copy(), 1.0)),
+], ids=["drift", "residual-invariant", "residual-hamiltonian"])
+def test_diagnostics_refuse_spoiled_family(check, kind):
+    # a NaN sample once turned both diagnostics into NaN without an error
+    with pytest.raises(HermiticityError):
+        check(SPOILED[kind])
+
+
 def test_transport_error_detects_broken_pair():
     # sigma_x is not conserved under sigma_z: the state leaves the
     # initial eigenspace by an O(1) amount within one period
@@ -89,12 +119,10 @@ def test_tracking_ambiguity_on_level_crossing():
 
 def _transport_error_loop(hamiltonian, invariant, steps, rel_tol=1e-8):
     # the per-sample reference: one eigensolve and one projection per time
-    psi0 = np.zeros(hamiltonian.dim, dtype=np.complex128)
-    psi0[0] = 1.0
-    traj = evolve(hamiltonian, psi0, steps=steps)
+    traj = evolve(hamiltonian, np.eye(hamiltonian.dim), steps=steps)
     w0, v0 = np.linalg.eigh(invariant(traj.times[0]))
     worst = 0.0
-    for t, u in zip(traj.times, traj.propagators):
+    for t, u in zip(traj.times, traj.states):
         _w, v = np.linalg.eigh(invariant(t))
         for g in group_degenerate(w0, rel_tol=rel_tol):
             carried = u @ v0[:, g]

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geomphase import RotatingRingBlock, StaticRingBlock, _kernels, random_unitary_gauge
@@ -41,9 +41,11 @@ def sequential_prefix(factors):
     return np.stack(out)
 
 
-# Lengths at the block edges of the scan: squares, one off a square, primes.
+# Lengths at the edges of the product tree (powers of two and one off
+# them) and of blocked schemes (squares and one off), and primes.
 EDGE_LENGTHS = sorted(
     {s * s + d for s in range(1, 18) for d in (-1, 0, 1)} - {0}
+    | {2 ** j + d for j in range(1, 9) for d in (-1, 0, 1)}
     | {2, 3, 5, 7, 13, 31, 97, 127, 251, 293}
 )
 
@@ -144,6 +146,8 @@ def test_eigh_2x2_extreme_scales(scale, rng):
                      min_size=1, max_size=8),
     exponent=st.integers(-150, 150),
 )
+# a subnormal corner |K| once overflowed the reciprocal of the eigenvector norm
+@example(entries=[(1.0, 1.0, 5.95747527424705e-263, 0.0)], exponent=-47)
 def test_eigh_2x2_matches_lapack_property(entries, exponent):
     # each matrix normalized to largest real part 1, then scaled by
     # 10^exponent, so its scale is a normal number
@@ -152,6 +156,17 @@ def test_eigh_2x2_matches_lapack_property(entries, exponent):
     e[peak > 0] /= peak[peak > 0, None]
     h = hermitian2(e[:, 0], e[:, 1], e[:, 2] + 1j * e[:, 3])
     assert_eigh2_matches_lapack(h * 10.0 ** exponent)
+
+
+@pytest.mark.parametrize("k1", [5.96e-263, 5.96e-263j, 1e-270 - 3e-271j, 1e-320])
+def test_eigh_2x2_subnormal_corner_gives_finite_eigenvectors(k1):
+    # 1e-47 [[1, k1], [k1*, 1]]: the corner is subnormal, so the
+    # eigenvector norm is too, and its reciprocal overflowed to inf
+    h = 1e-47 * hermitian2(1.0, 1.0, np.array([k1]))
+    w, v = _kernels.eigh_batch(h)
+    assert np.all(np.isfinite(w)) and np.all(np.isfinite(v))
+    assert np.max(np.abs(np.swapaxes(v.conj(), -1, -2) @ v - np.eye(2))) < 1e-13
+    assert_eigh2_matches_lapack(h)
 
 
 @on_build
@@ -201,6 +216,62 @@ def test_chain_product_is_ordered(kern, rng):
     unitary=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
+def test_chain_product_matches_reduce(m, n, unitary, seed):
+    rng = np.random.default_rng(seed)
+    if unitary:
+        mats = random_unitary(rng, n, batch=(m,))
+    else:
+        mats = (rng.normal(size=(m, n, n))
+                + 1j * rng.normal(size=(m, n, n))) / math.sqrt(n)
+    # the overlaps of a path are read-only, and the product leaves them be
+    kept = mats.copy()
+    mats.flags.writeable = False
+    want = functools.reduce(np.matmul, kept)
+    got = _kernels.chain_product(mats)
+    assert np.array_equal(mats, kept)
+    assert got.shape == (n, n)
+    if unitary:
+        assert np.max(np.abs(got - want)) <= 1e-12
+    else:
+        # the bound of test_prefix_products_match_sequential_loop
+        err = np.linalg.norm(got - want)
+        assert err <= 16 * m * np.finfo(float).eps * np.linalg.norm(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.one_of(st.sampled_from(EDGE_LENGTHS), st.integers(1, 300)),
+    n=st.sampled_from([1, 2, 3]),
+    cols=st.sampled_from(["one", "two", "all"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_propagate_column_block_matches_sequential_chain(m, n, cols, seed):
+    rng = np.random.default_rng(seed)
+    k = {"one": 1, "two": min(2, n), "all": n}[cols]
+    h_mid = random_hermitian(rng, n, batch=(m,))
+    dt = 0.3
+    x0 = random_unitary(rng, n)[:, :k]
+    units = _kernels._expm_herm(h_mid, dt)
+    want = [x0]
+    for u in units:
+        want.append(u @ want[-1])
+    got = _kernels.propagate(h_mid, dt, x0)
+    assert got.shape == (m + 1, n, k)
+    assert np.array_equal(got[0], x0)
+    assert np.max(np.abs(got - np.stack(want))) <= 1e-13
+    # a state is the block's single column
+    state = _kernels.propagate(h_mid, dt, x0[:, 0])
+    assert state.shape == (m + 1, n)
+    assert np.max(np.abs(state - np.stack(want)[..., 0])) <= 1e-13
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.one_of(st.sampled_from(EDGE_LENGTHS), st.integers(1, 300)),
+    n=st.sampled_from([1, 2, 3]),
+    unitary=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
 def test_prefix_products_match_sequential_loop(m, n, unitary, seed):
     rng = np.random.default_rng(seed)
     if unitary:
@@ -208,7 +279,7 @@ def test_prefix_products_match_sequential_loop(m, n, unitary, seed):
     else:
         factors = (rng.normal(size=(m, n, n))
                    + 1j * rng.normal(size=(m, n, n))) / math.sqrt(n)
-    # the scan consumes its factors, so the oracle reads them first
+    # the tree consumes its factors, so the oracle reads them first
     want = sequential_prefix(factors)
     got = _kernels._prefix_products(factors)
     assert got.shape == (m + 1, n, n)
@@ -240,9 +311,11 @@ def assert_product_close(got, want, a, b):
     ((40, 3, 1), (40, 1, 4)),      # inner dimension 1: the outer product
     ((40, 4, 2), (40, 2, 3)),      # inner dimension 2: the broadcast sum
     ((40, 2, 3), (40, 3, 2)),      # inner dimension 3: np.matmul
-    ((6, 7, 2, 2), (6, 1, 2, 2)),  # the scan's combine: blocks times carries
-    ((40, 2, 2), (2, 1)),          # propagators times a column state
+    ((6, 7, 2, 2), (6, 1, 2, 2)),  # broadcast batch dimensions
+    ((40, 2, 2), (2, 1)),          # a stack times one column
     ((2, 2), (40, 2, 2)),          # one matrix times a stack
+    ((40, 1, 2), (40, 2, 1)),      # the Gram of one-column frames
+    ((40, 2, 2), (40, 2, 1)),      # a state step, and a two-column Gram
 ])
 def test_matmul_matches_numpy(a_shape, b_shape, rng):
     a, b = random_complex(rng, a_shape), random_complex(rng, b_shape)
@@ -264,6 +337,27 @@ def test_matmul_out_may_alias_either_operand(k, rng):
     assert_product_close(f[:, 1], f[:, 0] @ b, f[:, 0], b)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_matmul_out_may_alias_a_strided_operand(k, rng):
+    # the tree's level step: the odd entries times the even ones, written
+    # over the odd ones; then the even entries times the odd ones, written
+    # over the odd ones
+    f = random_complex(rng, (10, k, k))
+    odd, even = f[1::2].copy(), f[::2].copy()
+    _kernels._matmul(f[1::2], f[::2], out=f[1::2])
+    assert_product_close(f[1::2], odd @ even, odd, even)
+    assert np.array_equal(f[::2], even)
+    odd = f[1::2].copy()
+    _kernels._matmul(f[::2], f[1::2], out=f[1::2])
+    assert_product_close(f[1::2], even @ odd, even, odd)
+    # a transposed view written over itself
+    g = random_complex(rng, (7, k, k))
+    gt = np.swapaxes(g, -1, -2)
+    before = gt.copy()
+    _kernels._matmul(gt, gt, out=gt)
+    assert_product_close(gt, before @ before, before, before)
+
+
 @pytest.mark.parametrize("core", [1, 2, 3])
 @pytest.mark.parametrize("k, el", [(1, 1), (2, 2), (1, 2)])
 def test_gram_matches_per_matrix_products(core, k, el, rng):
@@ -274,8 +368,8 @@ def test_gram_matches_per_matrix_products(core, k, el, rng):
 
 
 def test_propagate_peak_memory_stays_below_three_stacks():
-    # the scan runs in the step buffer and each block takes its carry
-    # straight into the propagators, so propagate never holds more than
+    # the product tree is built in the step buffer and the downsweep
+    # writes straight into the states, so propagate never holds more than
     # the steps, the result and the step exponential's scalar temporaries
     # (2.5 (M+1, 2, 2) stacks); a copy of the steps would make it three
     m = 2**14
@@ -302,7 +396,8 @@ def test_propagate_constant_hamiltonian_exact(kern, rng):
     psi0 = rng.normal(size=3) + 1j * rng.normal(size=3)
     psi0 = np.ascontiguousarray(psi0 / np.linalg.norm(psi0))
     mids = np.ascontiguousarray(np.broadcast_to(h, (steps, 3, 3)))
-    states, props = kern.propagate(mids, dt, psi0)
+    states = kern.propagate(mids, dt, psi0)
+    props = kern.propagate(mids, dt, np.eye(3))
     w, v = np.linalg.eigh(h)
     for k in (1, steps // 2, steps):
         exact = v @ (np.exp(-1j * w * k * dt) * (v.conj().T @ psi0))
@@ -369,7 +464,7 @@ def test_align_frames_gauges_match_sequential_chain():
 def test_propagate_matches_extended_precision_chain():
     # the slow rotating pair at drive ratio 1e-3 over one turn; the
     # kernel's own step unitaries chained one at a time in extended
-    # precision, so this checks the scan and nothing else
+    # precision, so this checks the product tree and nothing else
     probe = RotatingRingBlock(n=0, omega_o=1.0)
     b = RotatingRingBlock(n=0, omega_o=1e-3 * probe.omega_ns)
     steps = 2**15
@@ -377,7 +472,7 @@ def test_propagate_matches_extended_precision_chain():
     h_mid = b.hamiltonian.sample((np.arange(steps) + 0.5) * dt)
     units = _kernels._expm_herm(h_mid, dt).astype(np.clongdouble)
     psi0 = b.state("+")
-    states, _props = _kernels.propagate(h_mid, dt, psi0)
+    states = _kernels.propagate(h_mid, dt, psi0)
     psi = psi0.astype(np.clongdouble)
     want = [psi]
     for u in units:
@@ -426,7 +521,9 @@ def test_propagate_constant_two_level_hamiltonian_exact(rng):
     h = random_hermitian(rng, 2)
     steps, dt = 64, 0.05
     psi0 = np.array([0.6, 0.8j])
-    states, props = _kernels.propagate(np.broadcast_to(h, (steps, 2, 2)), dt, psi0)
+    h_mid = np.broadcast_to(h, (steps, 2, 2))
+    states = _kernels.propagate(h_mid, dt, psi0)
+    props = _kernels.propagate(h_mid, dt, np.eye(2))
     for k in (1, steps // 2, steps):
         exact = scipy.linalg.expm(-1j * h * k * dt)
         assert np.max(np.abs(props[k] - exact)) < 1e-13

@@ -35,6 +35,15 @@ def test_ring_state_validation():
         RingState({0: np.array([1.0, 1.0])})
 
 
+def test_ring_state_refuses_nan_amplitude():
+    # a NaN weight compares false with any bound, so the guard must not
+    # read "weight off by more than the bound"
+    with pytest.raises(ValueError, match="total weight"):
+        RingState({0: [math.nan, 0.0]})
+    with pytest.raises(ValueError, match="total weight"):
+        RingState({0: RT * np.array([1.0, 0.0]), 1: [0.0, math.nan]})
+
+
 def test_ring_state_accessors():
     s = RingState({2: [0.6, 0.0], 0: [0.0, 0.8]})
     assert s.occupied == (0, 2)
