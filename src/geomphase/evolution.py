@@ -59,11 +59,15 @@ def _hermitian_samples(family, times):
 
 @dataclass(frozen=True)
 class PhaseReport:
+    """The phase split of one cyclic run. norm_drift is the largest
+    |<psi|psi> - 1| over the grid, the propagation's own health."""
+
     total: float
     dynamic: float
     geometric: float
     cyclic_defect: float
     steps: int
+    norm_drift: float
 
 
 def evolve(family, x0, steps=4096, duration=None):
@@ -92,13 +96,30 @@ def evolve(family, x0, steps=4096, duration=None):
     return Trajectory(family, times, states)
 
 
+def _state_path(traj):
+    """The (M+1, n) states of a state trajectory; the phase split of a
+    column block is a K x K matrix, not these scalars."""
+    if traj.states.ndim != 2:
+        raise ValueError(
+            f"the phase split is defined for a state's trajectory (M+1, n), "
+            f"not for a column block's (M+1, n, K) = {traj.states.shape}"
+        )
+    return traj.states
+
+
+def _energy_and_norms(traj):
+    """Re <psi(t)|H(t)|psi(t)> and <psi(t)|psi(t)> on the grid edges."""
+    psi = _state_path(traj)[..., None]
+    hpsi = _kernels._matmul(traj.family.sample(traj.times), psi)
+    e = _kernels._gram(psi, hpsi)[:, 0, 0].real
+    return e, _kernels._gram(psi, psi)[:, 0, 0].real
+
+
 def energy_expectation(traj):
     """Re <psi(t)|H(t)|psi(t)> / <psi(t)|psi(t)> on the grid edges, so a
     norm drift of the propagator does not leak into the dynamic phase."""
-    psi = traj.states
-    hs = traj.family.sample(traj.times)
-    e = np.einsum("mi,mij,mj->m", psi.conj(), hs, psi).real
-    return e / np.einsum("mi,mi->m", psi.conj(), psi).real
+    e, norms = _energy_and_norms(traj)
+    return e / norms
 
 
 def dynamic_phase(traj):
@@ -108,10 +129,11 @@ def dynamic_phase(traj):
 
 def cyclic_defect(traj):
     """Distance of the final state from the initial ray."""
-    o = np.vdot(traj.states[0], traj.states[-1])
+    psi = _state_path(traj)
+    o = np.vdot(psi[0], psi[-1])
     if abs(o) == 0.0:
         return float(np.sqrt(2.0))
-    return float(np.linalg.norm(traj.states[-1] - (o / abs(o)) * traj.states[0]))
+    return float(np.linalg.norm(psi[-1] - (o / abs(o)) * psi[0]))
 
 
 def aa_phase(traj):
@@ -119,7 +141,8 @@ def aa_phase(traj):
 
     The geometric part is returned in [0, 2*pi). A cyclic defect above
     CYCLIC_TOL raises: the split is meaningless when the state does not
-    come back.
+    come back. The energies and the norm drift come from one pass over
+    the states.
     """
     defect = cyclic_defect(traj)
     if not defect <= CYCLIC_TOL:
@@ -129,6 +152,8 @@ def aa_phase(traj):
             defect,
         )
     total = float(np.angle(np.vdot(traj.states[0], traj.states[-1])))
-    dyn = dynamic_phase(traj)
+    e, norms = _energy_and_norms(traj)
+    dyn = float(-np.trapezoid(e / norms, traj.times))
     geo = float(mod_2pi(total - dyn))
-    return PhaseReport(total, dyn, geo, defect, traj.steps)
+    drift = float(np.max(np.abs(norms - 1.0)))
+    return PhaseReport(total, dyn, geo, defect, traj.steps, drift)

@@ -26,6 +26,7 @@ from .models import (
     RotatingRingBlock,
     SpinHalf,
     StaticRingBlock,
+    _ring_mixing,
 )
 from .ringstate import RingState, assembled_evolve, blockwise_evolve
 
@@ -144,9 +145,11 @@ def adiabatic_tracking(n=0, omega=1.0, eps=0.5, chi=math.pi / 3, ratio=1e-2,
     off the geometric phase. ratio is the rotation rate over the level
     splitting rate; the deviation from the transported-band value shrinks
     linearly with it."""
-    probe = RotatingRingBlock(n=n, omega=omega, eps=eps, chi=chi, omega_o=1.0)
+    # the block's splitting rate omega_ns, in the model's own order
+    s = _ring_mixing(eps, chi)[2]
+    kappa = float(omega) * (int(n) + 0.5)
     m = RotatingRingBlock(n=n, omega=omega, eps=eps, chi=chi,
-                          omega_o=ratio * probe.omega_ns)
+                          omega_o=ratio * (kappa * s))
     traj = evolve(m.hamiltonian, m.state(branch), steps=steps)
     rep = aa_phase(traj)
     ref = m.references["adiabatic_plus" if branch == "+" else "adiabatic_minus"]

@@ -40,9 +40,19 @@ def circular_distance(a, b):
 
 
 def require_hermitian(m, tol=1e-10, name="matrix"):
-    """Return m, a matrix or a stack (..., n, n), or raise HermiticityError."""
+    """Return m, a matrix or a stack (..., n, n), or raise HermiticityError.
+
+    |M - M^H| is symmetric, so a stack is read entry by entry over i <= j
+    from same-shape strided views, without a conjugated transposed copy;
+    one np.max over the entries' maxima lets a NaN through to the check.
+    """
     m = np.asarray(m)
-    defect = np.max(np.abs(m - np.swapaxes(m.conj(), -1, -2))) if m.size else 0.0
+    if m.ndim > 2 and m.size:
+        n = m.shape[-1]
+        defect = np.max([np.max(np.abs(m[..., i, j] - np.conj(m[..., j, i])))
+                         for i in range(n) for j in range(i, n)])
+    else:
+        defect = np.max(np.abs(m - np.swapaxes(m.conj(), -1, -2))) if m.size else 0.0
     if not defect <= tol:
         raise HermiticityError(
             f"{name} is not Hermitian: max |M - M^H| = {defect:.3e} > {tol:.1e}"

@@ -70,9 +70,17 @@ def trig_family(c0, c1, c2, omega, period=None, label="family"):
         period = TWO_PI / abs(omega)
 
     def many(ts):
-        co = np.cos(omega * ts)[:, None, None]
-        si = np.sin(omega * ts)[:, None, None]
-        return c0[None, :, :] + co * c1 + si * c2
+        # entry by entry from (M,) cos and sin: the (M, 1, 1) x (n, n)
+        # broadcast runs numpy's buffered iterator; the sum keeps the
+        # order C0 + cos C1 + sin C2
+        co, si = np.cos(omega * ts), np.sin(omega * ts)
+        out = np.empty(ts.shape + c0.shape, np.complex128)
+        for (i, j), a in np.ndenumerate(c0):
+            e = out[..., i, j]
+            np.multiply(co, c1[i, j], out=e)
+            e += a
+            e += si * c2[i, j]
+        return out
 
     return OperatorFamily(c0.shape[0], period, many, label=label)
 

@@ -7,6 +7,7 @@ co-rotating frame, which pins the time-dependent path as well.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from geomphase import (
     RotatingRingBlock,
     SpinHalf,
     aa_phase,
+    assemble_blocks,
     circular_distance,
     constant_family,
     cyclic_defect,
@@ -24,6 +26,7 @@ from geomphase import (
     energy_expectation,
     evolve,
 )
+from geomphase.evolution import _hermitian_samples
 from geomphase.models import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 
@@ -148,6 +151,61 @@ def test_dynamic_phase_ignores_norm_drift():
     scaled = dataclasses.replace(traj, states=traj.states * (1 + 1e-6))
     assert abs(dynamic_phase(traj)) > 1.0
     assert abs(dynamic_phase(scaled) - dynamic_phase(traj)) < 1e-12
+
+
+def test_phase_report_norm_drift():
+    # the drift is max |<psi|psi> - 1| over the grid: rounding on a
+    # unitary run, (1 + 1e-6)^2 - 1 = 2e-6 on the scaled states
+    m = SpinHalf(theta=math.pi / 6)
+    traj = evolve(m.hamiltonian, m.state("+"), steps=1024)
+    rep = aa_phase(traj)
+    assert rep.norm_drift < 1e-12
+    scaled = aa_phase(dataclasses.replace(traj, states=traj.states * (1 + 1e-6)))
+    assert abs(scaled.norm_drift - 2.000001e-6) < 1e-12
+    assert abs(scaled.dynamic - rep.dynamic) < 1e-12
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_energy_expectation_matches_einsum(blocks, rng):
+    # one rotating pair (2 x 2) and the direct sum of two (4 x 4)
+    bs = [RotatingRingBlock(n=n, eps=0.5, chi=math.pi / 3) for n in range(blocks)]
+    fam = assemble_blocks([b.hamiltonian for b in bs], period=bs[0].period)
+    psi0 = rng.normal(size=fam.dim) + 1j * rng.normal(size=fam.dim)
+    traj = evolve(fam, psi0 / np.linalg.norm(psi0), steps=512)
+    # a drifted norm must divide out as it does in the oracle
+    traj = dataclasses.replace(traj, states=traj.states * 1.1)
+    psi, hs = traj.states, fam.sample(traj.times)
+    want = (np.einsum("mi,mij,mj->m", psi.conj(), hs, psi).real
+            / np.einsum("mi,mi->m", psi.conj(), psi).real)
+    got = energy_expectation(traj)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_phases_refuse_column_block():
+    # the scalar split is defined for a state; a block's split is K x K
+    m = RotatingRingBlock(n=1, eps=0.5, chi=math.pi / 3)
+    traj = evolve(m.hamiltonian, np.eye(2), steps=64)
+    for f in (energy_expectation, cyclic_defect, aa_phase):
+        with pytest.raises(ValueError, match=r"\(65, 2, 2\)"):
+            f(traj)
+
+
+def test_hermitian_samples_peak_memory():
+    # the trig sampler writes each entry from (M,) cos and sin and the
+    # stack check reads entries, so neither holds a second stack
+    m = 2**14
+    fam = RotatingRingBlock(n=0, eps=0.5, chi=math.pi / 3).hamiltonian
+    times = np.linspace(0.0, fam.period, m + 1)
+    stack = (m + 1) * 4 * np.dtype(np.complex128).itemsize
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        _hermitian_samples(fam, times)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * stack
 
 
 def test_aa_decomposition_spin():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from geomphase import (
     BranchCutError,
+    HermiticityError,
     RankDeficiencyError,
     SkewHermiticityError,
     UnitarityError,
@@ -21,7 +22,12 @@ from geomphase import (
     unitary_eigenphases,
     unitary_exp,
 )
-from geomphase.linalg import _first_structure_break, _log_unitary_eig, require_unitary
+from geomphase.linalg import (
+    _first_structure_break,
+    _log_unitary_eig,
+    require_hermitian,
+    require_unitary,
+)
 
 
 def random_unitary(rng, n):
@@ -304,6 +310,31 @@ def test_require_unitary_refuses_one_bad_matrix(rng):
         with pytest.raises(UnitarityError):
             require_unitary(stack[7])
         require_unitary(stack[6])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_require_hermitian_stack_defect_matches_full_expression(n, rng):
+    # a stack is read entry by entry over i <= j; its defect must be the
+    # max |M - M^H| of the whole stack to the last bit, which the
+    # tolerance pins from both sides
+    stack = rng.normal(size=(33, n, n)) + 1j * rng.normal(size=(33, n, n))
+    want = np.max(np.abs(stack - np.swapaxes(stack.conj(), -1, -2)))
+    for s in (stack, stack.reshape(3, 11, n, n)):
+        assert require_hermitian(s, tol=want) is s
+        with pytest.raises(HermiticityError):
+            require_hermitian(s, tol=np.nextafter(want, 0.0))
+    herm = (stack + np.swapaxes(stack.conj(), -1, -2)) / 2
+    assert require_hermitian(herm, tol=0.0) is herm
+    assert require_hermitian(herm[:0]).shape == (0, n, n)
+
+
+@pytest.mark.parametrize("i, j", [(1, 1), (0, 1), (1, 0)])
+def test_require_hermitian_stack_refuses_one_nan_entry(i, j, rng):
+    a = rng.normal(size=(16, 2, 2)) + 1j * rng.normal(size=(16, 2, 2))
+    stack = (a + np.swapaxes(a.conj(), -1, -2)) / 2
+    stack[9, i, j] = np.nan
+    with pytest.raises(HermiticityError, match="nan"):
+        require_hermitian(stack)
 
 
 def test_polar_unitary_properties(rng):

@@ -54,6 +54,25 @@ def test_trig_family_values_and_batch(rng):
         assert np.max(np.abs(m - want)) < 1e-14
 
 
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_trig_family_sample_matches_broadcast_formula(n, rng):
+    # the sampler writes each entry from (M,) cos and sin; the broadcast
+    # C0 + cos C1 + sin C2 over the whole stack is the oracle
+    def herm():
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        return (a + a.conj().T) / 2
+    c0, c1, c2 = herm(), herm(), herm()
+    omega = 1.7
+    fam = trig_family(c0, c1, c2, omega)
+    ts = rng.uniform(-5, 5, size=257)
+    want = (c0[None] + np.cos(omega * ts)[:, None, None] * c1
+            + np.sin(omega * ts)[:, None, None] * c2)
+    got = fam.sample(ts)
+    assert got.shape == (257, n, n) and got.flags.c_contiguous
+    scale = np.max(np.abs(c0)) + np.max(np.abs(c1)) + np.max(np.abs(c2))
+    assert np.max(np.abs(got - want)) <= 1e-15 * scale
+
+
 def test_constant_family():
     fam = constant_family(SIGMA_X, 2.0)
     assert np.max(np.abs(fam(1.234) - SIGMA_X)) == 0.0
