@@ -70,7 +70,7 @@ from .holonomy import (
     sample_frames,
     wilson_loop,
 )
-from .action import TorusPath, as_frame_path, torus_connection, torus_path, torus_phase
+from .action import torus_connection, torus_path, torus_phase
 from .ringstate import RingState, assembled_evolve, blockwise_evolve
 from .experiments import EXPERIMENTS
 
@@ -127,9 +127,7 @@ __all__ = [
     "random_phase_gauge",
     "random_unitary_gauge",
     "holonomy_report",
-    "TorusPath",
     "torus_path",
-    "as_frame_path",
     "torus_phase",
     "torus_connection",
     "RingState",

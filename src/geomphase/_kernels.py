@@ -149,7 +149,8 @@ def _expm_herm(h, s):
     x = s * np.hypot(k0, np.abs(k1))
     phase = np.exp((-1j * s / 2) * (d0 + d1))
     c = phase * np.cos(x)
-    q = phase * np.sinc(x / np.pi)
+    # sin(x) / x, and its limit 1 at x = 0
+    q = phase * np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0)
     q *= -1j * s
     qk = q * k0
     out = np.empty(h.shape, np.complex128)

@@ -2,12 +2,12 @@
 the torus: overlap chains under the mean-over-grid inner product, the
 accumulated phase per loop, and per-interval connection samples.
 
-A torus path is just a stack of sampled wavefunctions; flattening turns
-it into a single-vector frame path, so all loop machinery is shared with
-the holonomy module instead of being reimplemented.
+A torus loop is a closed single-vector FramePath: each sampled
+wavefunction, flattened and scaled to unit norm, is one column, so all
+loop machinery is shared with the holonomy module instead of being
+reimplemented. The samples are written once and normalized in place,
+so the path owns the one buffer they live in.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,54 +16,41 @@ from .errors import UnitarityError
 from .holonomy import _array_path, berry_phase, connection_samples
 from .linalg import TWO_PI
 
-
-@dataclass(frozen=True)
-class TorusPath:
-    """Wavefunction samples along one closed winding-direction loop."""
-
-    thetas: np.ndarray
-    values: np.ndarray
-
-    @property
-    def steps(self):
-        return self.thetas.size - 1
+# sampled wavefunctions whose norms drift further than this from one are
+# refused; below it they are renormalized exactly, which shifts no phases
+TORUS_NORM_TOL = 1e-6
 
 
 def torus_path(block, branch, steps=4096):
-    """Sample one band eigenfunction of an ActionRingBlock around the
-    winding direction, theta from 0 to 2*pi inclusive."""
-    thetas = np.linspace(0.0, TWO_PI, steps + 1)
-    return TorusPath(thetas, block.torus_state(branch, thetas))
+    """Closed single-vector FramePath of one band eigenfunction of an
+    ActionRingBlock around the winding direction, theta from 0 to 2*pi
+    inclusive.
 
-
-def as_frame_path(tp, norm_tol=1e-6):
-    """Flatten a torus path into a single-vector FramePath.
-
-    Sampled wavefunctions whose norms drift more than norm_tol from one
-    are refused; below that the flattened vectors are renormalized
-    exactly, which shifts no phases. A single normalized column is
-    orthonormal, so the path needs no second Gram.
+    block.torus_state returns a fresh array, which becomes the path's
+    frames: reshaped to (M+1, 2*n_phi, 1) and scaled to unit norm in
+    place. A single normalized column is orthonormal, so the path needs
+    no Gram check.
     """
-    vals = tp.values
-    m1, n_phi = vals.shape[0], vals.shape[1]
-    flat = vals.reshape(m1, -1, 1)
-    norms = np.sqrt(_kernels._gram(flat, flat)[:, 0, 0].real / n_phi)
+    thetas = np.linspace(0.0, TWO_PI, steps + 1)
+    vals = block.torus_state(branch, thetas)
+    n_phi = vals.shape[1]
+    frames = vals.reshape(thetas.size, -1, 1)
+    norms = np.sqrt(_kernels._gram(frames, frames)[:, 0, 0].real / n_phi)
     drift = float(np.max(np.abs(norms - 1.0)))
-    if not drift <= norm_tol:
+    if not drift <= TORUS_NORM_TOL:
         raise UnitarityError(
             f"torus path is not normalized: max norm deviation {drift:.3e} "
-            f"> {norm_tol:.1e}"
+            f"> {TORUS_NORM_TOL:.1e}"
         )
-    # the scaled copy is the path's own, so it needs no second copy
-    frames = flat * (1 / (norms * np.sqrt(n_phi)))[:, None, None]
-    return _array_path(frames, float(tp.thetas[-1] - tp.thetas[0]))
+    frames *= (1 / (norms * np.sqrt(n_phi)))[:, None, None]
+    return _array_path(frames, TWO_PI)
 
 
-def torus_phase(tp):
+def torus_phase(path):
     """Loop phase of a torus path in [0, 2*pi)."""
-    return berry_phase(as_frame_path(tp))
+    return berry_phase(path)
 
 
-def torus_connection(tp):
+def torus_connection(path):
     """Per-interval connection integrals along the winding direction."""
-    return connection_samples(as_frame_path(tp))[:, 0, 0].real
+    return connection_samples(path)[:, 0, 0].real

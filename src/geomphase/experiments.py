@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .action import as_frame_path, torus_connection, torus_path, torus_phase
+from .action import torus_connection, torus_path, torus_phase
 from .evolution import aa_phase, evolve
 from .holonomy import (
     berry_phase,
@@ -308,7 +308,7 @@ def _sweep_paths(steps):
         "ring-rotating/pair": _frame_path(rot, steps),
     }
     for name, br in (("plus", "+"), ("minus", "-")):
-        paths[f"ring-action/{name}"] = as_frame_path(torus_path(act, br, steps=steps))
+        paths[f"ring-action/{name}"] = torus_path(act, br, steps=steps)
     return paths
 
 

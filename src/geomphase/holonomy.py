@@ -23,6 +23,7 @@ from .errors import (
     NonCyclicError,
     UnitarityError,
 )
+from .evolution import _hermitian_samples
 from .linalg import (
     _first_structure_break,
     circular_distance,
@@ -163,8 +164,9 @@ def _array_path(frames, period):
 
 
 def _eigenframes(source, grid):
-    family = source.family
-    ws, vs = _kernels.eigh_batch(family.sample(grid))
+    # eigh_batch reads one triangle only, so a non-Hermitian sample is
+    # refused here rather than diagonalized as if it mirrored that triangle
+    ws, vs = _kernels.eigh_batch(_hermitian_samples(source.family, grid))
     groups0 = group_degenerate(ws[0], rel_tol=source.rel_tol)
     if not 0 <= source.group < len(groups0):
         raise ValueError(

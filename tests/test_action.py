@@ -1,21 +1,33 @@
 """Angle-space transport of the two-component torus eigenfunctions."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from geomphase import (
     ActionRingBlock,
-    TorusPath,
     UnitarityError,
-    as_frame_path,
     berry_phase,
     circular_distance,
+    sample_frames,
     torus_connection,
     torus_path,
     torus_phase,
 )
+from geomphase.action import TORUS_NORM_TOL
+
+
+class ScaledBlock(ActionRingBlock):
+    """An ActionRingBlock whose torus samples are all scaled by one factor."""
+
+    def __init__(self, scale, **kwargs):
+        super().__init__(**kwargs)
+        self.scale = scale
+
+    def torus_state(self, branch, theta):
+        return super().torus_state(branch, theta) * self.scale
 
 
 def test_torus_inner_normalization():
@@ -77,11 +89,14 @@ def test_torus_states_orthogonal_across_n():
 
 
 def test_torus_path_values_normalized():
+    # the frames are the samples over sqrt(n_phi), which the mean-over-grid
+    # normalization makes unit columns before any renormalization
     b = ActionRingBlock(n=1, n_phi=64)
-    tp = torus_path(b, "+", steps=256)
-    assert tp.steps == 256
-    norms = np.einsum("mkc,mkc->m", tp.values.conj(), tp.values).real / b.n_phi
-    assert np.max(np.abs(norms - 1.0)) < 1e-13
+    path = torus_path(b, "+", steps=256)
+    assert path.steps == 256 and path.frames.shape == (257, 2 * b.n_phi, 1)
+    raw = b.torus_state("+", path.times).reshape(257, -1, 1) / math.sqrt(b.n_phi)
+    assert np.max(np.abs(path.frames - raw)) < 1e-13
+    assert np.max(np.abs(np.linalg.norm(path.frames, axis=1) - 1.0)) < 1e-13
 
 
 @pytest.mark.parametrize("branch,sign", [("+", -1.0), ("-", 1.0)])
@@ -117,31 +132,54 @@ def test_torus_connection_density():
 
 def test_frame_path_equivalence():
     # quadrature inner product folded into plain columns: the generic
-    # loop machinery must see the same phase
+    # loop machinery must see the bare band-frame loop's phase
     b = ActionRingBlock(n=1, eps=0.5, chi=math.pi / 3, n_phi=32)
-    tp = torus_path(b, "+", steps=1024)
-    fp = as_frame_path(tp)
-    assert fp.nvec == 1
-    assert circular_distance(berry_phase(fp), torus_phase(tp)) < 1e-10
+    steps = 1024
+    for branch, col in (("+", 0), ("-", 1)):
+        path = torus_path(b, branch, steps=steps)
+        assert path.nvec == 1
+        grid = np.linspace(0.0, 2 * math.pi, steps + 1)
+        bare = berry_phase(sample_frames(b.band_frame(grid)[:, :, col:col + 1],
+                                         period=2 * math.pi))
+        assert circular_distance(torus_phase(path), bare) < 1e-10
 
 
 def test_norm_tol_is_the_refusal_edge():
-    b = ActionRingBlock(n=0, n_phi=32)
-    tp = torus_path(b, "+", steps=64)
-    want = berry_phase(as_frame_path(tp))
-    for tol in (1e-6, 1e-3):
-        kept = as_frame_path(TorusPath(tp.thetas, tp.values * (1 + 0.5 * tol)), norm_tol=tol)
-        # renormalized exactly, in a copy the path owns
+    want = torus_phase(torus_path(ActionRingBlock(n=0, n_phi=32), "+", steps=64))
+    for scale in (1 + 0.5 * TORUS_NORM_TOL, 1 - 0.5 * TORUS_NORM_TOL):
+        kept = torus_path(ScaledBlock(scale, n=0, n_phi=32), "+", steps=64)
+        # renormalized exactly
         assert np.max(np.abs(np.linalg.norm(kept.frames, axis=1) - 1.0)) <= 1e-15
-        assert not np.shares_memory(kept.frames, tp.values)
         assert circular_distance(berry_phase(kept), want) < 1e-12
+    for scale in (1 + 2 * TORUS_NORM_TOL, 1 - 2 * TORUS_NORM_TOL):
         with pytest.raises(ValueError, match="max norm deviation 2.000e-0"):
-            as_frame_path(TorusPath(tp.thetas, tp.values * (1 + 2 * tol)), norm_tol=tol)
+            torus_path(ScaledBlock(scale, n=0, n_phi=32), "+", steps=64)
 
 
 def test_norm_drift_rejected():
-    b = ActionRingBlock(n=0, n_phi=32)
-    tp = torus_path(b, "+", steps=64)
-    bad = TorusPath(tp.thetas, tp.values * 1.01)
     with pytest.raises(UnitarityError):
-        as_frame_path(bad)
+        torus_path(ScaledBlock(1.01, n=0, n_phi=32), "+", steps=64)
+
+
+def test_torus_path_peak_memory():
+    # the samples are normalized in the buffer torus_state writes, so a
+    # loop holds one (M+1, n_phi, 2) stack, not a scaled second copy
+    b = ActionRingBlock(n=1)
+    steps = 4096
+    stack = (steps + 1) * b.n_phi * 2 * np.dtype(np.complex128).itemsize
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        torus_phase(torus_path(b, "+", steps=steps))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * stack
+
+
+def test_torus_paths_share_no_memory():
+    b = ActionRingBlock(n=1, n_phi=16)
+    p, q = (torus_path(b, "+", steps=64) for _ in range(2))
+    assert not np.shares_memory(p.frames, q.frames)
+    assert np.array_equal(p.frames, q.frames)

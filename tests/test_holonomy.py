@@ -12,7 +12,9 @@ from geomphase import (
     EigenframeSource,
     FramePath,
     GridTooCoarseError,
+    HermiticityError,
     NonCyclicError,
+    OperatorFamily,
     RotatingRingBlock,
     SpinHalf,
     StaticRingBlock,
@@ -34,7 +36,7 @@ from geomphase import (
     unitary_exp,
     wilson_loop,
 )
-from geomphase.models import SIGMA_Z
+from geomphase.models import SIGMA_X, SIGMA_Y, SIGMA_Z
 
 TWO_PI = 2 * math.pi
 
@@ -307,6 +309,52 @@ def test_eigenframe_split_grid_refused():
     # runs before the overlap check and names that sample
     with pytest.raises(DegeneracySplitError, match=r"changed at t=1\.5708:"):
         sample_frames(EigenframeSource(inv, group=0), steps=128)
+
+
+def _spoiled_equator_family(jx, jy, spoil):
+    # H(t) = cos(2 pi t) Jx + sin(2 pi t) Jy, Hermitian at t = 0 and t = 1,
+    # with spoil applied to the samples at 0.4 < t < 0.6
+    def sampler(ts):
+        h = (np.cos(TWO_PI * ts)[:, None, None] * jx
+             + np.sin(TWO_PI * ts)[:, None, None] * jy)
+        spoil(h, (ts > 0.4) & (ts < 0.6))
+        return h
+
+    return OperatorFamily(jx.shape[0], 1.0, sampler, label="spoiled")
+
+
+def _spoil_lower_corner(h, mid):
+    h[mid, 1, 0] += 0.3
+
+
+def _spoil_upper_triangle(h, mid):
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        h[mid, i, j] += 0.3
+
+
+def _plant_nan(h, mid):
+    h[mid] = np.nan
+
+
+_S1 = 1 / math.sqrt(2)
+_SPIN1_X = _S1 * np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex)
+_SPIN1_Y = _S1 * np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]])
+
+
+@pytest.mark.parametrize(
+    "jx,jy,spoil",
+    [(SIGMA_X, SIGMA_Y, _spoil_lower_corner),
+     (_SPIN1_X, _SPIN1_Y, _spoil_upper_triangle),
+     (SIGMA_X, SIGMA_Y, _plant_nan)],
+    ids=["2x2-lower-corner", "3x3-upper-triangle", "2x2-nan"],
+)
+def test_eigenframes_refuse_non_hermitian_samples(jx, jy, spoil):
+    # the 2 x 2 closed form reads the upper corner and LAPACK the lower
+    # triangle, so either would diagonalize a spoiled sample silently;
+    # a NaN would surface only as a degeneracy split
+    source = EigenframeSource(_spoiled_equator_family(jx, jy, spoil))
+    with pytest.raises(HermiticityError, match="sample stack is not Hermitian"):
+        sample_frames(source, steps=512)
 
 
 def test_open_path_refused():

@@ -13,7 +13,6 @@ from geomphase import (
     OperatorFamily,
     RotatingRingBlock,
     SpinHalf,
-    TorusPath,
     aa_phase,
     berry_phase,
     evolve,
@@ -41,11 +40,15 @@ def _nan_frame():
     return berry_phase(sample_frames(frames, period=m.period))
 
 
+class _NanTorusBlock(ActionRingBlock):
+    def torus_state(self, branch, theta):
+        values = super().torus_state(branch, theta)
+        values[50, 3, 0] = np.nan
+        return values
+
+
 def _nan_torus_sample():
-    tp = torus_path(ActionRingBlock(n=0, n_phi=16), "+", steps=256)
-    values = tp.values.copy()
-    values[50, 3, 0] = np.nan
-    return torus_phase(TorusPath(tp.thetas, values))
+    return torus_phase(torus_path(_NanTorusBlock(n=0, n_phi=16), "+", steps=256))
 
 
 def _nan_family():
