@@ -102,23 +102,26 @@ def _upsweep(f):
     return f
 
 
-def _downsweep(tree, x0):
+def _downsweep(tree, x0, out=None):
     """X (M+1, *x0.shape) with X[0] = x0 and X[k+1] = factors[k] @ X[k],
     from the product tree (M, n, n) of the factors; x0 is (n,) or (n, K).
 
     X[p] = tree[p-1] @ X[p-b] for b the lowest set bit of p, so the
     positions whose lowest set bit is h come from the multiples of 2h:
     one batched product per level, from the highest power of two <= M
-    down, written straight into X's strided views.
+    down, written straight into X's strided views. X is out if given, a
+    C-contiguous (M+1, *x0.shape) buffer; x0 may be its first row.
     """
     m, n = tree.shape[0], tree.shape[-1]
-    x = np.empty((m + 1, n, x0.size // n), np.complex128)
+    if out is None:
+        out = np.empty((m + 1,) + x0.shape, np.complex128)
+    x = out.reshape((m + 1, n, -1), copy=False)
     x[0] = x0.reshape(n, -1)
     h = (1 << m.bit_length()) >> 1
     while h:
         _matmul(tree[h - 1::2 * h], x[:m + 1 - h:2 * h], out=x[h::2 * h])
         h //= 2
-    return x.reshape((m + 1,) + x0.shape)
+    return out
 
 
 def _prefix_products(factors):
@@ -303,12 +306,14 @@ def chain_product(mats):
     return out
 
 
-def propagate(h_mid, dt, x0):
+def propagate(h_mid, dt, x0, out=None):
     """States X (M+1, *x0.shape) of a state (n,) or a column block (n, K)
     under one midpoint-exponential step per interval: X[0] = x0 and
     X[k+1] = U_k X[k].
 
     Each step U_k = exp(-i H_k dt) of its midpoint Hamiltonian is unitary
     to rounding; the identity block gives the cumulative propagators.
+    out, if given, is the C-contiguous buffer the states are written into
+    (see _downsweep).
     """
-    return _downsweep(_upsweep(_expm_herm(h_mid, dt)), x0)
+    return _downsweep(_upsweep(_expm_herm(h_mid, dt)), x0, out)

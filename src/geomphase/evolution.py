@@ -4,6 +4,16 @@ energy expectation, and their difference, the geometric remainder.
 
 The propagator uses one midpoint exponential per interval, so each step
 is exactly unitary and constant Hamiltonians are integrated exactly.
+
+A run goes through its grid in chunks of CHUNK_STEPS steps. Each chunk
+samples H at its midpoints, records the samples' Hermiticity defect and
+largest entry, and propagates the last state of the previous chunk,
+writing its states straight into the run's one (M+1, n) or (M+1, n, K)
+buffer; the samples are refused after the last chunk against 1e-10 of
+the whole run's scale. The energy expectation reads its grid-edge
+samples over the same chunks. So a run holds its states plus one
+chunk's temporaries, and a run of at most CHUNK_STEPS steps makes one
+pass over the whole grid.
 """
 
 from dataclasses import dataclass
@@ -12,10 +22,12 @@ import numpy as np
 
 from . import _kernels
 from .errors import NonCyclicError
-from .linalg import mod_2pi, require_hermitian
+from .linalg import _refuse_hermitian_defect, hermitian_defect, mod_2pi
 
 # a cyclic defect above this leaves the phase split undefined
 CYCLIC_TOL = 1e-2
+# steps per chunk of a run: sampled, checked and propagated together
+CHUNK_STEPS = 4096
 
 
 @dataclass(frozen=True)
@@ -47,14 +59,27 @@ def _time_grid(family, steps, duration=None):
     return np.linspace(0.0, float(duration), steps + 1)
 
 
+def _chunks(steps):
+    """The (start, stop) step ranges of a run of steps, CHUNK_STEPS each
+    but the last."""
+    return [(a, min(a + CHUNK_STEPS, steps)) for a in range(0, steps, CHUNK_STEPS)]
+
+
+def _refuse_samples(family, defect, scale):
+    """Refuse samples of family whose Hermiticity defect exceeds 1e-10 of
+    their scale max(1, max |H|); a NaN defect fails, and a NaN scale
+    leaves the floor 1."""
+    _refuse_hermitian_defect(defect, 1e-10 * max(1.0, float(scale)),
+                             f"family {family.label!r} sample stack")
+
+
 def _hermitian_samples(family, times):
     """family.sample(times), refused with HermiticityError unless every
     sample is Hermitian to 1e-10 of the stack's scale; a NaN or infinite
     sample fails the check too."""
     hs = family.sample(times)
-    scale = max(1.0, float(np.max(np.abs(hs))))
-    return require_hermitian(hs, tol=1e-10 * scale,
-                             name=f"family {family.label!r} sample stack")
+    _refuse_samples(family, hermitian_defect(hs), np.max(np.abs(hs)))
+    return hs
 
 
 @dataclass(frozen=True)
@@ -91,8 +116,28 @@ def evolve(family, x0, steps=4096, duration=None):
             raise ValueError(
                 f"initial columns must be orthonormal, max |X^H X - I| = {defect:.3e}"
             )
-    hs = _hermitian_samples(family, 0.5 * (times[:-1] + times[1:]))
-    states = _kernels.propagate(hs, times[-1] / steps, x0)
+    chunks = _chunks(steps)
+    dt = times[-1] / steps
+    # one chunk lets propagate allocate the states once the step
+    # exponential's temporaries are freed; a buffer allocated ahead of
+    # them raised the benchmark's peak RSS
+    states = None
+    if len(chunks) > 1:
+        states = np.empty((steps + 1,) + x0.shape, np.complex128)
+        states[0] = x0
+    defects, scales = [], []
+    for a, b in chunks:
+        hs = family.sample(0.5 * (times[a:b] + times[a + 1:b + 1]))
+        defects.append(hermitian_defect(hs))
+        scales.append(np.max(np.abs(hs)))
+        if not np.isfinite(defects[-1]):
+            break  # no scale accepts a NaN or infinite defect
+        if states is None:
+            states = _kernels.propagate(hs, dt, x0)
+        else:
+            _kernels.propagate(hs, dt, states[a], out=states[a:b + 1])
+    # the tolerance scales with the whole run, as on one whole stack
+    _refuse_samples(family, np.max(defects), np.max(scales))
     return Trajectory(family, times, states)
 
 
@@ -108,11 +153,18 @@ def _state_path(traj):
 
 
 def _energy_and_norms(traj):
-    """Re <psi(t)|H(t)|psi(t)> and <psi(t)|psi(t)> on the grid edges."""
+    """Re <psi(t)|H(t)|psi(t)> and <psi(t)|psi(t)> on the grid edges,
+    sampled over evolve's chunks; the last chunk takes the final edge."""
     psi = _state_path(traj)[..., None]
-    hpsi = _kernels._matmul(traj.family.sample(traj.times), psi)
-    e = _kernels._gram(psi, hpsi)[:, 0, 0].real
-    return e, _kernels._gram(psi, psi)[:, 0, 0].real
+    steps = traj.steps
+    e, norms = np.empty(steps + 1), np.empty(steps + 1)
+    for a, b in _chunks(steps):
+        b += b == steps  # the last chunk takes the final edge
+        p = psi[a:b]
+        hpsi = _kernels._matmul(traj.family.sample(traj.times[a:b]), p)
+        e[a:b] = _kernels._gram(p, hpsi)[:, 0, 0].real
+        norms[a:b] = _kernels._gram(p, p)[:, 0, 0].real
+    return e, norms
 
 
 def energy_expectation(traj):

@@ -144,7 +144,8 @@ def adiabatic_tracking(n=0, omega=1.0, eps=0.5, chi=math.pi / 3, ratio=1e-2,
     """Evolve one band eigenstate through a full slow rotation and split
     off the geometric phase. ratio is the rotation rate over the level
     splitting rate; the deviation from the transported-band value shrinks
-    linearly with it."""
+    linearly with it. norm_drift is the run's propagation health (see
+    PhaseReport)."""
     # the block's splitting rate omega_ns, in the model's own order
     s = _ring_mixing(eps, chi)[2]
     kappa = float(omega) * (int(n) + 0.5)
@@ -161,6 +162,7 @@ def adiabatic_tracking(n=0, omega=1.0, eps=0.5, chi=math.pi / 3, ratio=1e-2,
         "reference": ref,
         "deviation": float(circular_distance(rep.geometric, ref)),
         "cyclic_defect": rep.cyclic_defect,
+        "norm_drift": rep.norm_drift,
     }
 
 

@@ -39,24 +39,37 @@ def circular_distance(a, b):
     return np.minimum(d, TWO_PI - d)
 
 
-def require_hermitian(m, tol=1e-10, name="matrix"):
-    """Return m, a matrix or a stack (..., n, n), or raise HermiticityError.
+def hermitian_defect(m):
+    """max |M - M^H| over a matrix or a stack (..., n, n), 0 for an empty
+    one, NaN if any entry is NaN.
 
     |M - M^H| is symmetric, so a stack is read entry by entry over i <= j
     from same-shape strided views, without a conjugated transposed copy;
-    one np.max over the entries' maxima lets a NaN through to the check.
+    one np.max over the entries' maxima lets a NaN through.
     """
     m = np.asarray(m)
-    if m.ndim > 2 and m.size:
+    if not m.size:
+        return 0.0
+    if m.ndim > 2:
         n = m.shape[-1]
-        defect = np.max([np.max(np.abs(m[..., i, j] - np.conj(m[..., j, i])))
-                         for i in range(n) for j in range(i, n)])
-    else:
-        defect = np.max(np.abs(m - np.swapaxes(m.conj(), -1, -2))) if m.size else 0.0
+        return np.max([np.max(np.abs(m[..., i, j] - np.conj(m[..., j, i])))
+                       for i in range(n) for j in range(i, n)])
+    return np.max(np.abs(m - np.swapaxes(m.conj(), -1, -2)))
+
+
+def _refuse_hermitian_defect(defect, tol, name):
+    """Raise HermiticityError unless defect <= tol; NaN is refused."""
     if not defect <= tol:
         raise HermiticityError(
             f"{name} is not Hermitian: max |M - M^H| = {defect:.3e} > {tol:.1e}"
         )
+
+
+def require_hermitian(m, tol=1e-10, name="matrix"):
+    """Return m, a matrix or a stack (..., n, n), or raise HermiticityError
+    if its hermitian_defect exceeds tol."""
+    m = np.asarray(m)
+    _refuse_hermitian_defect(hermitian_defect(m), tol, name)
     return m
 
 

@@ -24,8 +24,13 @@ class RingState:
             amp = np.asarray(amp, dtype=np.complex128)
             if amp.shape != (2,):
                 raise ValueError(f"block {n} amplitude must have shape (2,), got {amp.shape}")
+            weight = float(np.vdot(amp, amp).real)
+            # an empty block has no state to evolve and no phase; a NaN
+            # weight is refused by the total below
+            if weight == 0.0:
+                raise ValueError(f"block {n} must carry weight > 0, got {weight}")
             blocks[int(n)] = amp
-            total += float(np.vdot(amp, amp).real)
+            total += weight
         if not blocks:
             raise ValueError("state must occupy at least one block")
         if not abs(total - 1.0) <= 1e-10:

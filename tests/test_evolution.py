@@ -14,9 +14,12 @@ import pytest
 import scipy.linalg
 
 from geomphase import (
+    HermiticityError,
     NonCyclicError,
+    OperatorFamily,
     RotatingRingBlock,
     SpinHalf,
+    StaticRingBlock,
     aa_phase,
     assemble_blocks,
     circular_distance,
@@ -26,7 +29,8 @@ from geomphase import (
     energy_expectation,
     evolve,
 )
-from geomphase.evolution import _hermitian_samples
+from geomphase import _kernels
+from geomphase.evolution import CHUNK_STEPS, _energy_and_norms, _hermitian_samples
 from geomphase.models import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 
@@ -251,3 +255,139 @@ def test_trajectory_shapes():
     props = evolve(m.hamiltonian, ID2, steps=16).states
     assert props.shape == (17, 2, 2)
     assert np.max(np.abs(props[0] - ID2)) == 0.0
+
+
+def _slow_pair():
+    # the rotating pair driven at 1e-2 of its splitting rate: a
+    # time-dependent H whose band state comes back to its ray
+    probe = RotatingRingBlock(n=0, eps=0.5, chi=math.pi / 3, omega_o=1.0)
+    return RotatingRingBlock(n=0, eps=0.5, chi=math.pi / 3,
+                             omega_o=1e-2 * probe.omega_ns)
+
+
+def _whole_grid(fam, x0, steps):
+    # one propagate call over every midpoint of the run
+    t = np.linspace(0.0, fam.period, steps + 1)
+    return _kernels.propagate(fam.sample(0.5 * (t[:-1] + t[1:])), t[-1] / steps, x0)
+
+
+CHUNK_EDGES = [CHUNK_STEPS - 1, CHUNK_STEPS, CHUNK_STEPS + 1, 2 * CHUNK_STEPS + 3]
+
+
+@pytest.mark.parametrize("steps", CHUNK_EDGES)
+@pytest.mark.parametrize("blocks", [1, 2], ids=["pair-state", "direct-sum-block"])
+def test_chunked_evolve_matches_whole_grid(steps, blocks, rng):
+    # a state of the rotating pair, and a two-column block of the 4 x 4
+    # direct sum (the eigh step exponential); runs of at most one chunk
+    # make the same calls as the whole grid and agree bit for bit
+    b = _slow_pair()
+    fam = assemble_blocks([b.hamiltonian] * blocks, period=b.period)
+    if blocks == 1:
+        x0 = b.state("+")
+    else:
+        z = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+        x0 = np.linalg.qr(z)[0]
+    got = evolve(fam, x0, steps=steps).states
+    want = _whole_grid(fam, x0, steps)
+    assert got.shape == want.shape == (steps + 1,) + x0.shape
+    if steps <= CHUNK_STEPS:
+        assert np.array_equal(got, want)
+    else:
+        assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("steps", CHUNK_EDGES)
+def test_chunked_energies_match_one_pass(steps):
+    # the grid-edge energies and norms read chunk by chunk are those of
+    # one pass over the whole trajectory, bit for bit, and so are the
+    # dynamic phase and the norm drift of aa_phase
+    b = _slow_pair()
+    traj = evolve(b.hamiltonian, b.state("+"), steps=steps)
+    psi = traj.states[..., None]
+    hpsi = _kernels._matmul(b.hamiltonian.sample(traj.times), psi)
+    e = _kernels._gram(psi, hpsi)[:, 0, 0].real
+    norms = _kernels._gram(psi, psi)[:, 0, 0].real
+    got_e, got_norms = _energy_and_norms(traj)
+    assert np.array_equal(got_e, e) and np.array_equal(got_norms, norms)
+    rep = aa_phase(traj)
+    assert rep.dynamic == float(-np.trapezoid(e / norms, traj.times))
+    assert rep.norm_drift == float(np.max(np.abs(norms - 1.0)))
+
+
+def _spoiled_pair(spoil, lo, hi, bump=None):
+    # the slow pair's H with spoil(hs, where) applied at lo < t < hi,
+    # and 1e3 sigma_z added on bump = (lo, hi) if given; H(0) and H(T)
+    # stay clean, so the family keeps its period
+    base = _slow_pair().hamiltonian
+
+    def many(ts):
+        hs = base.sample(ts)
+        spoil(hs, (ts > lo) & (ts < hi))
+        if bump is not None:
+            hs[(ts > bump[0]) & (ts < bump[1])] += 1e3 * SIGMA_Z
+        return hs
+
+    return OperatorFamily(2, base.period, many, label="spoiled pair")
+
+
+def _plant_nan(hs, where):
+    hs[where, 1, 0] = math.nan
+
+
+def _skew_lower_corner(defect):
+    def spoil(hs, where):
+        hs[where, 1, 0] += defect
+    return spoil
+
+
+@pytest.mark.parametrize("spoil", [_plant_nan, _skew_lower_corner(1e-8)],
+                         ids=["nan", "defect-1e-8"])
+def test_spoiled_last_chunk_refused_with_whole_stack_message(spoil):
+    # only the last chunk's samples are spoiled; the refusal reads as the
+    # check of the whole midpoint stack does
+    steps = 2 * CHUNK_STEPS + 3
+    period = _slow_pair().period
+    fam = _spoiled_pair(spoil, (2 * CHUNK_STEPS + 1) * period / steps, period)
+    t = np.linspace(0.0, period, steps + 1)
+    with pytest.raises(HermiticityError) as whole:
+        _hermitian_samples(fam, 0.5 * (t[:-1] + t[1:]))
+    with pytest.raises(HermiticityError) as chunked:
+        evolve(fam, np.eye(2), steps=steps)
+    assert str(chunked.value) == str(whole.value)
+    assert "sample stack is not Hermitian" in str(chunked.value)
+
+
+def test_hermiticity_tolerance_scales_with_whole_run():
+    # a defect of 1e-9 in the last chunk exceeds 1e-10 of that chunk's own
+    # scale (about 1) but not of the run's, set by a 1e3 entry in chunk 0;
+    # without that entry the same defect is refused
+    steps = 2 * CHUNK_STEPS + 3
+    period = _slow_pair().period
+    last = ((2 * CHUNK_STEPS + 1) * period / steps, period)
+    bump = (0.1 * period / steps, 100.1 * period / steps)
+    spoil = _skew_lower_corner(1e-9)
+    traj = evolve(_spoiled_pair(spoil, *last, bump=bump), np.eye(2), steps=steps)
+    assert np.all(np.isfinite(traj.states))
+    with pytest.raises(HermiticityError, match="1.000e-09 > 1.0e-10"):
+        evolve(_spoiled_pair(spoil, *last), np.eye(2), steps=steps)
+
+
+def test_aa_phase_peak_memory():
+    # evolve holds the states plus one chunk's temporaries, and aa_phase
+    # reads its energies over the same chunks: the peak stays a few state
+    # stacks at a run of sixteen chunks (7.25 when the whole grid was
+    # sampled, exponentiated and product-treed at once)
+    m = 2**16
+    b = StaticRingBlock(n=0)
+    psi0 = b.state("+")
+    stack = (m + 1) * psi0.size * np.dtype(np.complex128).itemsize
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        rep = aa_phase(evolve(b.hamiltonian, psi0, steps=m))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert rep.norm_drift < 1e-10
+    assert peak <= 3.5 * stack

@@ -58,3 +58,10 @@ def test_adiabatic_gain_reaches_the_verdict():
     fast = dict(adiabatic=True, ratios=(1e-2, 1e-3), adiabatic_steps=(2**14, 2**15))
     assert _quick_run("ring-rotating", **fast, min_gain=6.0)["converged"] is True
     assert _quick_run("ring-rotating", **fast, min_gain=math.inf)["converged"] is False
+
+
+def test_adiabatic_tracking_reports_norm_drift():
+    # a slow-drive run of four chunks carries its propagation health
+    run = experiments.adiabatic_tracking(steps=2**14)
+    assert isinstance(run["norm_drift"], float)
+    assert 0.0 <= run["norm_drift"] < 1e-10

@@ -2,6 +2,7 @@
 the blockwise and assembled evolution routes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +43,18 @@ def test_ring_state_refuses_nan_amplitude():
         RingState({0: [math.nan, 0.0]})
     with pytest.raises(ValueError, match="total weight"):
         RingState({0: RT * np.array([1.0, 0.0]), 1: [0.0, math.nan]})
+
+
+@pytest.mark.parametrize("route", [blockwise_evolve, assembled_evolve])
+def test_empty_block_refused_before_either_route(route):
+    # blockwise_evolve would divide by the zero norm and assembled_evolve
+    # would report an undefined phase of 0.0; the state itself refuses
+    models, _ = two_block_setup()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="block 1 must carry weight > 0"):
+            route(models, RingState({0: models[0].state("+"), 1: [0.0, 0.0]}),
+                  steps=64)
 
 
 def test_ring_state_accessors():
