@@ -3,7 +3,10 @@ top of it: total phase of a (nearly) cyclic run, dynamic phase from the
 energy expectation, and their difference, the geometric remainder.
 
 The propagator uses one midpoint exponential per interval, so each step
-is exactly unitary and constant Hamiltonians are integrated exactly.
+is exactly unitary. Constant Hamiltonians are integrated exactly: when
+every midpoint sample of a chunk equals the first, the chunk's states
+are exp(-i H k dt) x0 from one eigendecomposition of that sample (see
+_kernels.propagate), with no per-step exponentials to chain.
 
 A run goes through its grid in chunks of CHUNK_STEPS steps. Each chunk
 samples H at its midpoints, records the samples' Hermiticity defect and

@@ -72,7 +72,8 @@ class _Ledger:
 def run_spin(theta=(0.0, math.pi / 6, math.pi / 4, math.pi / 3), omega_s=1.0,
              steps=4096, tol=1e-6, aa_tol=1e-5):
     """Berry phases of the spin cone frames plus the cyclic-evolution
-    phase split, against pi*(1 +- cos(2*theta)) and friends."""
+    phase split, against pi*(1 +- cos(2*theta)) and friends. Each split
+    carries its cyclic defect and its norm drift (see PhaseReport)."""
     ledger = _Ledger()
     results, references = {}, {}
     formulas = None
@@ -94,6 +95,7 @@ def run_spin(theta=(0.0, math.pi / 6, math.pi / 4, math.pi / 3), omega_s=1.0,
                 "dynamic": rep.dynamic,
                 "geometric": rep.geometric,
                 "cyclic_defect": rep.cyclic_defect,
+                "norm_drift": rep.norm_drift,
             }
             ledger.check(key, f"aa_total_{name}",
                          circular_distance(rep.total, refs["total"]), aa_tol)
@@ -112,7 +114,8 @@ def run_spin(theta=(0.0, math.pi / 6, math.pi / 4, math.pi / 3), omega_s=1.0,
 def run_ring_static(n=(0, 1, 2), cone=(math.pi / 6, math.pi / 3), omega=1.0,
                     eps=0.5, chi=math.pi / 3, steps=4096, tol=1e-6):
     """Static ring blocks: cone-frame Berry phases by the overlap chain
-    and by the cyclic phase split, for several blocks and cone angles."""
+    and by the cyclic phase split, for several blocks and cone angles.
+    Each split carries its norm drift (see PhaseReport)."""
     ledger = _Ledger()
     results, references = {}, {}
     formulas = None
@@ -128,6 +131,7 @@ def run_ring_static(n=(0, 1, 2), cone=(math.pi / 6, math.pi / 3), omega=1.0,
                 rep = aa_phase(evolve(m.hamiltonian, m.state(br), steps=steps))
                 r[f"berry_{name}"] = g
                 r[f"aa_geometric_{name}"] = rep.geometric
+                r[f"aa_norm_drift_{name}"] = rep.norm_drift
                 ledger.check(key, f"berry_{name}", circular_distance(g, ref), tol)
                 ledger.check(key, f"aa_geometric_{name}",
                              circular_distance(rep.geometric, ref), tol)

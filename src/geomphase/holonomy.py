@@ -221,7 +221,12 @@ def phase_matrix(path):
 
 
 def wilson_loop(path):
-    """Unitary part of the ordered overlap product around the loop."""
+    """Unitary part of the ordered overlap product around the loop.
+
+    This is the inverse of the transport holonomy: for a closed
+    eigenframe path with first frame F0 and a single column,
+    F0^H U(T) F0 = e^{i dynamic} W^H, U(T) the propagator over the loop.
+    """
     return polar_unitary(_kernels.chain_product(path.overlaps))
 
 

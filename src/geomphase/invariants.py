@@ -58,10 +58,12 @@ def transport_error(hamiltonian, invariant, steps=4096, duration=None, rel_tol=1
     the complement of the group's eigenspace of I(t) and take the largest
     Frobenius norm. Exactly conserved partners give integrator-level noise.
     The eigenbasis of I(0) is evolved as one column block, after the
-    invariant's levels are checked along the grid.
+    invariant's levels are checked along the grid. A sample of the
+    invariant that is not Hermitian, NaN included, raises
+    HermiticityError.
     """
     times = _time_grid(hamiltonian, steps, duration)
-    ws, vs = _kernels.eigh_batch(invariant.sample(times))
+    ws, vs = _kernels.eigh_batch(_hermitian_samples(invariant, times))
     groups = group_degenerate(ws[0], rel_tol=rel_tol)
     sizes0 = [g.stop - g.start for g in groups]
     gaps = np.diff([0.5 * (ws[0][g.start] + ws[0][g.stop - 1]) for g in groups])

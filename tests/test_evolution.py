@@ -296,6 +296,26 @@ def test_chunked_evolve_matches_whole_grid(steps, blocks, rng):
         assert np.max(np.abs(got - want)) < 1e-12
 
 
+@pytest.mark.parametrize("steps", [CHUNK_STEPS + 1, 2 * CHUNK_STEPS + 3])
+@pytest.mark.parametrize("blocks", [1, 2], ids=["ring-state", "direct-sum-block"])
+def test_chunked_constant_evolve_matches_expm(steps, blocks, rng):
+    # a constant H takes the closed form in every chunk, each chunk
+    # starting from the last state of the one before: exact to rounding
+    # against exp(-i H t) at every grid time, and states[0] is x0
+    rings = [StaticRingBlock(n=n) for n in range(blocks)]
+    fam = assemble_blocks([r.hamiltonian for r in rings])
+    if blocks == 1:
+        x0 = rings[0].state("+")
+    else:
+        z = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+        x0 = np.linalg.qr(z)[0]
+    traj = evolve(fam, x0, steps=steps)
+    assert np.array_equal(traj.states[0], x0)
+    h = fam.sample(np.zeros(1))[0]
+    want = scipy.linalg.expm(-1j * traj.times[:, None, None] * h) @ x0
+    assert np.max(np.abs(traj.states - want)) <= 1e-13
+
+
 @pytest.mark.parametrize("steps", CHUNK_EDGES)
 def test_chunked_energies_match_one_pass(steps):
     # the grid-edge energies and norms read chunk by chunk are those of

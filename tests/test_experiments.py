@@ -65,3 +65,14 @@ def test_adiabatic_tracking_reports_norm_drift():
     run = experiments.adiabatic_tracking(steps=2**14)
     assert isinstance(run["norm_drift"], float)
     assert 0.0 <= run["norm_drift"] < 1e-10
+
+
+def test_phase_split_reports_carry_norm_drift():
+    # every cyclic split of the spin and the static ring carries its
+    # propagation health beside its phases
+    spin = _quick_run("spin")["results"]
+    drifts = [r[f"aa_{b}"]["norm_drift"] for r in spin.values() for b in ("plus", "minus")]
+    ring = _quick_run("ring-static")["results"]
+    drifts += [r[f"aa_norm_drift_{b}"] for r in ring.values() for b in ("plus", "minus")]
+    assert len(drifts) == 2 * (len(spin) + len(ring))
+    assert all(isinstance(d, float) and 0.0 <= d < 1e-10 for d in drifts)

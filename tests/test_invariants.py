@@ -99,6 +99,23 @@ def test_diagnostics_refuse_spoiled_family(check, kind):
         check(SPOILED[kind])
 
 
+def test_transport_error_refuses_non_hermitian_invariant():
+    # at n = 2 the eigensolve reads one triangle only, so a spoiled lower
+    # corner once gave the clean family's transport error, 3.8e-14
+    ring = StaticRingBlock(n=0)
+    clean = ring.invariant
+
+    def sampler(times):
+        hs = clean.sample(times)
+        hs[(times > 0.1) & (times < 0.2), 1, 0] += 1e-3
+        return hs
+
+    spoiled = OperatorFamily(2, clean.period, sampler)
+    assert transport_error(ring.hamiltonian, clean) < 1e-10
+    with pytest.raises(HermiticityError):
+        transport_error(ring.hamiltonian, spoiled)
+
+
 def test_transport_error_detects_broken_pair():
     # sigma_x is not conserved under sigma_z: the state leaves the
     # initial eigenspace by an O(1) amount within one period

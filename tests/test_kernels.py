@@ -13,7 +13,13 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from geomphase import RotatingRingBlock, StaticRingBlock, _kernels, random_unitary_gauge
+from geomphase import (
+    RotatingRingBlock,
+    StaticRingBlock,
+    _kernels,
+    assemble_blocks,
+    random_unitary_gauge,
+)
 
 # Every kernel test runs on the one build, plain numpy. The
 # id keeps the label that build's results have always been reported
@@ -548,6 +554,100 @@ def test_propagate_constant_two_level_hamiltonian_exact(rng):
         assert np.max(np.abs(props[k] - exact)) < 1e-13
         assert np.max(np.abs(states[k] - exact @ psi0)) < 1e-13
     assert np.array_equal(props[0], np.eye(2))
+
+
+def _constant_hamiltonian(case):
+    # random n = 2, 3 and the 4 x 4 direct sum of two static ring blocks
+    if case == "direct-sum":
+        fam = assemble_blocks([StaticRingBlock(n=n).hamiltonian for n in (0, 1)])
+        return fam.sample(np.zeros(1))[0]
+    return random_hermitian(np.random.default_rng(7), {"n2": 2, "n3": 3}[case])
+
+
+def _expm_states(h, dt, x0, m):
+    # exp(-i H k dt) x0 for k = 0..m, each step's exponential on its own
+    units = scipy.linalg.expm(-1j * dt * np.arange(m + 1)[:, None, None] * h)
+    return units @ x0
+
+
+@pytest.mark.parametrize("cols", [None, 2], ids=["state", "block"])
+@pytest.mark.parametrize("case", ["n2", "n3", "direct-sum"])
+def test_propagate_constant_matches_expm(case, cols):
+    # a stack of one repeated sample takes the closed form, exact to
+    # rounding against exp(-i H t_k) at every grid time
+    h = _constant_hamiltonian(case)
+    n, m = h.shape[0], 500
+    dt = 2 * math.pi / m
+    x0 = random_unitary(np.random.default_rng(3), n)
+    x0 = np.ascontiguousarray(x0[:, 0] if cols is None else x0[:, :cols])
+    h_mid = np.ascontiguousarray(np.broadcast_to(h, (m, n, n)))
+    got = _kernels.propagate(h_mid, dt, x0)
+    assert got.shape == (m + 1,) + x0.shape
+    assert np.array_equal(got[0], x0)
+    assert np.max(np.abs(got - _expm_states(h, dt, x0, m))) <= 1e-13
+
+
+@pytest.mark.parametrize("case", ["n2", "direct-sum"])
+def test_propagate_constant_first_row_may_be_x0(case):
+    # evolve's chunks start from the last state of the chunk before, a
+    # view of the first row they write: that row must stay x0 exactly
+    h = _constant_hamiltonian(case)
+    n, m, dt = h.shape[0], 300, 0.02
+    x0 = random_unitary(np.random.default_rng(5), n)[:, 0]
+    buf = np.empty((m + 1, n), np.complex128)
+    buf[0] = x0
+    h_mid = np.ascontiguousarray(np.broadcast_to(h, (m, n, n)))
+    got = _kernels.propagate(h_mid, dt, buf[0], out=buf)
+    assert got is buf
+    assert np.array_equal(buf[0], x0)
+    assert np.max(np.abs(buf - _expm_states(h, dt, x0, m))) <= 1e-13
+
+
+@pytest.mark.parametrize("where", [0, 150, -1], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_propagate_one_ulp_off_constant_takes_the_tree(n, where):
+    # one sample one ulp away from the rest is a time-dependent stack:
+    # the product tree, bit for bit, and the sequential chain to 1e-13
+    rng = np.random.default_rng(11)
+    m, dt = 300, 0.3
+    h_mid = np.ascontiguousarray(np.broadcast_to(random_hermitian(rng, n), (m, n, n)))
+    h_mid[where, 0, 0] = np.nextafter(h_mid[where, 0, 0].real, np.inf)
+    assert not _kernels._is_constant(h_mid)
+    x0 = random_unitary(rng, n)[:, :1]
+    got = _kernels.propagate(h_mid, dt, x0)
+    tree = _kernels._downsweep(_kernels._upsweep(_kernels._expm_herm(h_mid, dt)), x0)
+    assert np.array_equal(got, tree)
+    want = [x0]
+    for u in _kernels._expm_herm(h_mid, dt):
+        want.append(u @ want[-1])
+    assert np.max(np.abs(got - np.stack(want))) <= 1e-13
+
+
+def test_propagate_empty_stack_gives_x0():
+    x0 = np.array([0.6, 0.8j])
+    got = _kernels.propagate(np.empty((0, 2, 2), np.complex128), 0.1, x0)
+    assert got.shape == (1, 2) and np.array_equal(got[0], x0)
+
+
+def test_propagate_constant_peak_memory():
+    # the closed form holds the (M, n) phases and the states, and forms
+    # its angles column by column; a broadcast into the phases' strided
+    # real part read 2.27 stacks, the whole exp(-1j * angles) 3.26
+    m = 2**14
+    ring = StaticRingBlock(n=0)
+    dt = ring.period / m
+    h_mid = ring.hamiltonian.sample((np.arange(m) + 0.5) * dt)
+    psi0 = ring.state("+")
+    stack = (m + 1) * psi0.size * np.dtype(np.complex128).itemsize
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        _kernels.propagate(h_mid, dt, psi0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * stack
 
 
 @st.composite
