@@ -14,14 +14,18 @@ Hermitian H = a I + K with K traceless has the eigenvalues a -+ |K| and
 exp(-i s H) = e^{-i a s} (cos(|K| s) I - i s sinc(|K| s) K).
 
 Stacked products and Grams F^H G pick their method from the inner
-dimension alone. numpy's matmul pays a fixed cost per matrix that
-outweighs the arithmetic of an inner dimension <= 2, so there a product
-is written entry by entry: the outer product at 1, and at 2 each entry
-a[..., i, 0] b[..., 0, j] + a[..., i, 1] b[..., 1, j] of ufuncs on
-same-shape strided views, which numpy runs without its buffered
-broadcast iterator. Longer inner dimensions take matmul (the 4 x 4
-direct sum) and Grams with a longer core take one vecdot, which
-conjugates F as it reads it instead of copying it.
+dimension and, at 2, the stack length. numpy's matmul pays a fixed cost
+per matrix that outweighs the arithmetic of an inner dimension <= 2, so
+there a product is written with ufuncs: the outer product at 1, and at
+2 each entry a[..., i, 0] b[..., 0, j] + a[..., i, 1] b[..., 1, j]. A
+long stack forms each entry from same-shape strided views, which numpy
+runs without its buffered broadcast iterator; a short stack (at most
+256 entries of a, 64 products of 2 x 2 matrices), where the per-call
+cost of those four calls an entry outweighs the iterator's, forms all
+entries in one broadcast of the columns of a times the rows of b, the
+same multiply-then-add bit for bit. Longer inner dimensions take matmul (the 4 x 4 direct sum) and
+Grams with a longer core take one vecdot, which conjugates F as it
+reads it instead of copying it.
 
 The ordered products (propagated states, alignment gauges, the Wilson
 loop) share one log-depth product tree. The upsweep runs in place:
@@ -43,6 +47,10 @@ up rounding over its products. Any other stack goes through the tree.
 
 import numpy as np
 
+# the most entries of a for which _matmul forms an inner-dimension-2
+# stack in one broadcast: 64 products of 2 x 2 matrices
+_SHORT_STACK = 256
+
 
 def _adjoint(m):
     return np.conj(np.swapaxes(m, -1, -2))
@@ -50,11 +58,16 @@ def _adjoint(m):
 
 def _matmul(a, b, out=None):
     """Stacked product a @ b of (..., m, k) and (..., k, p) stacks, chosen
-    by the inner dimension k.
+    by the inner dimension k and, at k = 2, by the stack length.
 
-    At k = 1 the broadcast a * b is the outer product; at k = 2 each entry
-    a[..., i, 0] * b[..., 0, j] + a[..., i, 1] * b[..., 1, j] is formed
-    before any is written, so out may alias a or b. Other k take
+    At k = 1 the broadcast a * b is the outer product. At k = 2 every
+    entry is a[..., i, 0] * b[..., 0, j] + a[..., i, 1] * b[..., 1, j],
+    multiplied then added in that order, and formed before any is
+    written, so out may alias a or b. A short stack (the same stack
+    shape on both sides and at most _SHORT_STACK entries of a) forms all
+    entries at once from the columns of a times the rows of b, three or
+    four numpy calls where the entry-wise form makes about four per entry;
+    any other stack goes entry by entry (_matmul_entries). Other k take
     np.matmul.
     """
     k = a.shape[-1]
@@ -62,6 +75,20 @@ def _matmul(a, b, out=None):
         return np.multiply(a, b, out=out)
     if k != 2:
         return np.matmul(a, b, out=out)
+    if a.size > _SHORT_STACK or a.shape[:-2] != b.shape[:-2]:
+        return _matmul_entries(a, b, out)
+    r = a[..., :, 0:1] * b[..., 0:1, :]
+    r += a[..., :, 1:2] * b[..., 1:2, :]
+    if out is None:
+        return r
+    out[...] = r
+    return out
+
+
+def _matmul_entries(a, b, out=None):
+    """_matmul at k = 2, entry by entry: each entry is formed from
+    same-shape strided views, which numpy runs without its buffered
+    broadcast iterator, and all are formed before out is written."""
     m, p = a.shape[-2], b.shape[-1]
     entries = []
     for i in range(m):

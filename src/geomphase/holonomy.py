@@ -32,7 +32,6 @@ from .linalg import (
     mod_2pi,
     polar_unitary,
     unitary_eigenphases,
-    unitary_exp,
 )
 
 # a gauge path whose ends differ by more than this does not close
@@ -50,13 +49,17 @@ class FramePath:
     stack (M, K, K) of consecutive overlaps <F_k | F_{k+1}>, formed at
     construction. A path whose weakest overlap, by smallest singular value
     (the magnitude for one column), is at most 0.5 cannot be built: its
-    samples are too far apart to follow the eigenspace.
+    samples are too far apart to follow the eigenspace. min_overlap is
+    that weakest smallest singular value and min_overlap_at its interval,
+    the path's health: a unitary gauge leaves both unchanged.
     """
 
     times: np.ndarray
     frames: np.ndarray
     closure_defect: float
     overlaps: np.ndarray = field(init=False, repr=False, compare=False)
+    min_overlap: float = field(init=False, compare=False)
+    min_overlap_at: int = field(init=False, compare=False)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -78,6 +81,8 @@ class FramePath:
         o.flags.writeable = False
         object.__setattr__(self, "frames", f)
         object.__setattr__(self, "overlaps", o)
+        object.__setattr__(self, "min_overlap", float(smins[k]))
+        object.__setattr__(self, "min_overlap_at", k)
 
     @property
     def steps(self):
@@ -274,28 +279,64 @@ def gauge_transform(path, gauges):
     return FramePath(path.times, new, path.closure_defect)
 
 
+def _fourier_rows(size, modes):
+    """The grid s of size points over [0, 1] and the (2 modes, size) rows
+    cos(2 pi m s), sin(2 pi m s) for m = 1..modes, in that order."""
+    s = np.linspace(0.0, 1.0, size)
+    rows = np.empty((2 * modes, size))
+    for m in range(1, modes + 1):
+        x = 2 * np.pi * m * s
+        np.cos(x, out=rows[2 * m - 2])
+        np.sin(x, out=rows[2 * m - 1])
+    return s, rows
+
+
 def random_phase_gauge(rng, size, winding=0, modes=3, amplitude=0.5):
     """Smooth random closed U(1) gauge path, shape (size, 1, 1)."""
-    s = np.linspace(0.0, 1.0, size)
+    s, rows = _fourier_rows(size, modes)
     alpha = 2.0 * np.pi * winding * s
-    for m in range(1, modes + 1):
-        a, b = rng.uniform(-amplitude, amplitude, size=2)
-        alpha = alpha + a * np.cos(2 * np.pi * m * s) + b * np.sin(2 * np.pi * m * s)
+    for c, row in zip(rng.uniform(-amplitude, amplitude, 2 * modes), rows):
+        alpha = alpha + c * row
     g = np.exp(1j * alpha)
     g[-1] = g[0]
     return g[:, None, None]
 
 
 def random_unitary_gauge(rng, size, nvec, modes=3, amplitude=0.5):
-    """Smooth random closed U(K) gauge path, shape (size, K, K)."""
-    s = np.linspace(0.0, 1.0, size)
-    field = np.zeros((size, nvec, nvec), dtype=np.complex128)
-    for m in range(1, modes + 1):
-        for wave in (np.cos(2 * np.pi * m * s), np.sin(2 * np.pi * m * s)):
-            h = rng.uniform(-1, 1, (nvec, nvec)) + 1j * rng.uniform(-1, 1, (nvec, nvec))
-            h = 0.5 * (h + h.conj().T) * (amplitude / modes)
-            field += wave[:, None, None] * h
-    g = unitary_exp(1j * field)
+    """Smooth random closed U(K) gauge path, shape (size, K, K).
+
+    g = exp(i A) for the Hermitian field A(s) = sum over the Fourier rows
+    of a random Hermitian K x K coefficient times the row, each
+    coefficient (h + h^H) / 2 scaled by amplitude / modes, h's real and
+    imaginary parts drawn uniform in [-1, 1]. The field is written entry
+    by entry over i <= j from the (size,) rows, its lower triangle as the
+    conjugate of the upper, so it is exactly Hermitian and goes straight
+    to the step exponential.
+    """
+    _, rows = _fourier_rows(size, modes)
+    # per row, the real then the imaginary parts of h
+    draws = rng.uniform(-1, 1, (2 * modes, 2, nvec, nvec))
+    h = draws[:, 0] + 1j * draws[:, 1]
+    h = 0.5 * (h + _kernels._adjoint(h)) * (amplitude / modes)
+    hr, hi = h.real, h.imag
+
+    def combine(c):
+        # sum over q of rows[q] * c[q], added in the order of the rows
+        acc = rows[0] * c[0]
+        for q in range(1, rows.shape[0]):
+            acc += rows[q] * c[q]
+        return acc
+
+    field = np.empty((size, nvec, nvec), np.complex128)
+    for i in range(nvec):
+        field[:, i, i] = combine(hr[:, i, i])
+        for j in range(i + 1, nvec):
+            re, im = combine(hr[:, i, j]), combine(hi[:, i, j])
+            upper, lower = field[:, i, j], field[:, j, i]
+            upper.real = lower.real = re
+            upper.imag = im
+            np.negative(im, out=lower.imag)
+    g = _kernels._expm_herm(field, -1.0)
     g[-1] = g[0]
     return g
 
@@ -309,6 +350,8 @@ def holonomy_report(path, estimate_convergence=True):
         "steps": path.steps,
         "nvec": path.nvec,
         "closure_defect": path.closure_defect,
+        "min_overlap": path.min_overlap,
+        "min_overlap_at": path.min_overlap_at,
         "gamma": gamma,
         "gamma_eigenvalues": np.linalg.eigvalsh(gamma),
         "wilson": w,

@@ -119,15 +119,16 @@ def unitary_exp(a, tol=1e-10):
     (..., n, n), unitary to rounding (see _kernels._expm_herm).
 
     The skew-Hermiticity check covers the whole stack: one offending
-    matrix refuses the call.
+    matrix refuses the call. |A + A^H| is |H - H^H| for H = -i A, exactly,
+    so the check is hermitian_defect of H, which reads a stack over
+    i <= j without a copy.
     """
-    a = np.asarray(a, dtype=np.complex128)
-    defect = np.max(np.abs(a + _adjoint(a))) if a.size else 0.0
+    h = -1j * np.asarray(a, dtype=np.complex128)
+    defect = hermitian_defect(h)
     if not defect <= tol:
         raise SkewHermiticityError(
             f"matrix is not skew-Hermitian: max |A + A^H| = {defect:.3e} > {tol:.1e}"
         )
-    h = -1j * a
     h = (h + _adjoint(h)) / 2
     return _kernels._expm_herm(h, -1.0)
 

@@ -197,6 +197,50 @@ def test_random_unitary_gauge_matches_pointwise_loop():
     assert np.max(np.abs(got - want)) <= 1e-14
 
 
+@pytest.mark.parametrize("size, modes, amplitude", [(2049, 3, 0.6), (130, 2, 1.3)])
+def test_random_unitary_gauge_is_bitwise_the_per_wave_construction(size, modes, amplitude):
+    # at nvec = 2: the field summed wave by wave and exponentiated by one
+    # unitary_exp over the stack, to the last bit, and the generator left
+    # where that construction leaves it. Exponentiating point by point
+    # agrees to rounding only (numpy's loops differ for one matrix), which
+    # test_random_unitary_gauge_matches_pointwise_loop bounds
+    rng = np.random.default_rng(11)
+    s = np.linspace(0.0, 1.0, size)
+    field = np.zeros((size, 2, 2), dtype=np.complex128)
+    for m in range(1, modes + 1):
+        for wave in (np.cos(2 * np.pi * m * s), np.sin(2 * np.pi * m * s)):
+            h = rng.uniform(-1, 1, (2, 2)) + 1j * rng.uniform(-1, 1, (2, 2))
+            h = 0.5 * (h + h.conj().T) * (amplitude / modes)
+            field += wave[:, None, None] * h
+    want = unitary_exp(1j * field)
+    want[-1] = want[0]
+    got_rng = np.random.default_rng(11)
+    got = random_unitary_gauge(got_rng, size, 2, modes=modes, amplitude=amplitude)
+    assert np.array_equal(got, want)
+    assert got_rng.bit_generator.state == rng.bit_generator.state
+
+
+@pytest.mark.parametrize("winding", [-1, 0, 2])
+def test_random_phase_gauge_is_bitwise_the_per_mode_sum(winding):
+    # the per-mode construction: a and b drawn per mode, the cos then the
+    # sin term added to the winding ramp
+    size, modes, amplitude = 513, 3, 0.4
+    rng = np.random.default_rng(5)
+    s = np.linspace(0.0, 1.0, size)
+    alpha = 2.0 * np.pi * winding * s
+    for m in range(1, modes + 1):
+        a, b = rng.uniform(-amplitude, amplitude, size=2)
+        alpha = alpha + a * np.cos(2 * np.pi * m * s) + b * np.sin(2 * np.pi * m * s)
+    want = np.exp(1j * alpha)
+    want[-1] = want[0]
+    got_rng = np.random.default_rng(5)
+    got = random_phase_gauge(got_rng, size, winding=winding, modes=modes,
+                             amplitude=amplitude)
+    assert got.shape == (size, 1, 1)
+    assert got[:, 0, 0].tobytes() == want.tobytes()
+    assert got_rng.bit_generator.state == rng.bit_generator.state
+
+
 def test_gauge_covariance_of_loop_unitary(rng):
     path, _ = rotating_path(steps=1024)
     g = random_unitary_gauge(rng, path.steps + 1, 2, amplitude=0.7)
@@ -401,6 +445,43 @@ def test_decimation_and_report():
     half = path.decimated()
     assert half.steps == 1024
     assert np.max(np.abs(half.frames[0] - path.frames[0])) == 0.0
+
+
+def two_plane_path(rng, steps):
+    # a 2-plane of C^4 carried once around by exp(-i phi(t) G), G with the
+    # integer spectrum 0..3 so the loop closes, at the uneven speed
+    # phi'(t) = 1 + cos(t - 1) / 2: the weakest overlap is unique, near
+    # t = 1
+    v = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+    f0 = np.linalg.qr(rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2)))[0]
+    t = np.linspace(0.0, TWO_PI, steps + 1)
+    phi = t + 0.5 * np.sin(t - 1)
+    rot = (v * np.exp(-1j * phi[:, None, None] * np.arange(4.0))) @ v.conj().T
+    return sample_frames(rot @ f0, steps=steps, period=TWO_PI)
+
+
+def test_min_overlap_is_the_weakest_overlap_and_gauge_invariant(rng):
+    path = two_plane_path(rng, 256)
+    smins = np.linalg.svd(path.overlaps, compute_uv=False)[:, -1]
+    k = path.min_overlap_at
+    assert isinstance(k, int) and k == int(np.argmin(smins))
+    assert abs(path.min_overlap - smins[k]) <= 1e-14
+    assert path.min_overlap < 0.9999
+    with pytest.raises(AttributeError):
+        path.min_overlap = 1.0
+    # unitary gauges keep every overlap's singular values
+    new = gauge_transform(path, random_unitary_gauge(rng, path.steps + 1, 2,
+                                                     amplitude=0.7))
+    assert new.min_overlap_at == k
+    assert abs(new.min_overlap - path.min_overlap) <= 1e-14
+    # the half grid's overlaps are its own, and weaker
+    half = path.decimated()
+    half_smins = np.linalg.svd(half.overlaps, compute_uv=False)[:, -1]
+    assert half.min_overlap_at == int(np.argmin(half_smins))
+    assert abs(half.min_overlap - np.min(half_smins)) <= 1e-14
+    assert half.min_overlap < path.min_overlap
+    rep = holonomy_report(path, estimate_convergence=False)
+    assert (rep["min_overlap"], rep["min_overlap_at"]) == (path.min_overlap, k)
 
 
 def test_berry_dual_route_guard():

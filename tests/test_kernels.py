@@ -364,6 +364,47 @@ def test_matmul_out_may_alias_a_strided_operand(k, rng):
     assert_product_close(gt, before @ before, before, before)
 
 
+@pytest.mark.parametrize("stack", [(), (0,), (1,), (2,), (63,), (64,), (65,), (130,)])
+@pytest.mark.parametrize("m, p", [(2, 2), (2, 1), (1, 2)])
+def test_matmul_short_stack_is_bitwise_the_entrywise_form(stack, m, p, rng):
+    # a short stack forms every entry with the multiply-then-add of the
+    # entry-wise form, so the two agree to the last bit, signed zeros
+    # included; the lengths straddle 64 and 128 products, where a reaches
+    # _SHORT_STACK entries, and () is a single matrix
+    a = random_complex(rng, stack + (m, 2))
+    b = random_complex(rng, stack + (2, p))
+    want = _kernels._matmul_entries(a, b)
+    assert _kernels._matmul(a, b).tobytes() == want.tobytes()
+    # out aliasing whichever operand has the result's shape
+    if a.shape == want.shape:
+        x = a.copy()
+        assert _kernels._matmul(x, b, out=x).tobytes() == want.tobytes()
+    if b.shape == want.shape:
+        y = b.copy()
+        assert _kernels._matmul(a, y, out=y).tobytes() == want.tobytes()
+
+
+def test_matmul_broadcast_takes_the_entrywise_path(rng, monkeypatch):
+    # the short form's size test counts the entries of a only, so a
+    # broadcast stack, whose length a does not show, goes entry by entry
+    calls = []
+    entries = _kernels._matmul_entries
+
+    def spy(a, b, out=None):
+        calls.append((a.shape, b.shape))
+        return entries(a, b, out)
+
+    monkeypatch.setattr(_kernels, "_matmul_entries", spy)
+    a, b = random_complex(rng, (2, 2)), random_complex(rng, (40, 2, 2))
+    got = _kernels._matmul(a, b)
+    assert calls == [((2, 2), (40, 2, 2))]
+    assert got.tobytes() == entries(a, b).tobytes()
+    assert_product_close(got, a @ b, a, b)
+    calls.clear()
+    _kernels._matmul(b[:3], b[3:6])
+    assert calls == []
+
+
 @pytest.mark.parametrize("core", [1, 2, 3])
 @pytest.mark.parametrize("k, el", [(1, 1), (2, 2), (1, 2)])
 def test_gram_matches_per_matrix_products(core, k, el, rng):

@@ -137,6 +137,28 @@ def test_unitary_exp_stack_refused_by_one_bad_matrix(rng):
         unitary_exp(a)
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (2, 2), (9, 2, 2), (4, 5, 3, 3)])
+def test_unitary_exp_skew_defect_is_max_abs_a_plus_a_adjoint(shape, rng):
+    # the defect is read as the Hermiticity defect of -i A; it must be
+    # max |A + A^H| to the last bit, which the tolerance pins from both
+    # sides, and the message must print that value
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    a = (a - np.conj(np.swapaxes(a, -1, -2))) / 2
+    a[..., 1, 0] += 3e-7 - 2e-7j
+    a[..., 0, 0] += 1e-7
+    want = np.max(np.abs(a + np.conj(np.swapaxes(a, -1, -2))))
+    unitary_exp(a, tol=want)
+    with pytest.raises(SkewHermiticityError) as err:
+        unitary_exp(a, tol=np.nextafter(want, 0.0))
+    assert str(err.value) == (
+        f"matrix is not skew-Hermitian: max |A + A^H| = {want:.3e} > "
+        f"{np.nextafter(want, 0.0):.1e}"
+    )
+    a[(0,) * (len(shape) - 2) + (0, 1)] = np.nan
+    with pytest.raises(SkewHermiticityError, match="nan"):
+        unitary_exp(a)
+
+
 def test_unitary_eigenphases_recovers_diagonal(rng):
     phases = np.array([-2.5, -0.3, 0.1, 1.9])
     g = random_unitary(rng, 4)
