@@ -43,18 +43,22 @@ def hermitian_defect(m):
     """max |M - M^H| over a matrix or a stack (..., n, n), 0 for an empty
     one, NaN if any entry is NaN.
 
-    |M - M^H| is symmetric, so a stack is read entry by entry over i <= j
-    from same-shape strided views, without a conjugated transposed copy;
-    one np.max over the entries' maxima lets a NaN through.
+    |M - M^H| is symmetric, so a stack of n <= 2 matrices or of more than
+    _kernels._SHORT_STACK entries is read entry by entry over i <= j from
+    same-shape strided views, without a conjugated transposed copy; one
+    np.max over the entries' maxima lets a NaN through. A single matrix,
+    and a short stack of n > 2 matrices, where those few numpy calls an
+    entry cost more than the copy, take one max |M - M^H| over a
+    conjugated transposed copy. Both forms give the same value.
     """
     m = np.asarray(m)
     if not m.size:
         return 0.0
-    if m.ndim > 2:
-        n = m.shape[-1]
+    n = m.shape[-1]
+    if m.ndim > 2 and (n <= 2 or m.size > _kernels._SHORT_STACK):
         return np.max([np.max(np.abs(m[..., i, j] - np.conj(m[..., j, i])))
                        for i in range(n) for j in range(i, n)])
-    return np.max(np.abs(m - np.swapaxes(m.conj(), -1, -2)))
+    return np.max(np.abs(m - _adjoint(m)))
 
 
 def _refuse_hermitian_defect(defect, tol, name):
@@ -105,12 +109,19 @@ def _first_structure_break(ws, rel_tol=1e-8):
     clusters differ from those of row 0, or None.
 
     Row by row this is the split rule of group_degenerate, so a row breaks
-    exactly when its group sizes differ from those of row 0.
+    exactly when its group sizes differ from those of row 0. A row
+    ascends, so its largest |w| is at one of its ends, and the split
+    pattern is compared one gap at a time on (M,) columns: numpy runs
+    reductions along a short row axis slowly.
     """
     ws = np.asarray(ws, dtype=float)
-    scale = np.max(np.abs(ws), axis=1, initial=1.0)
-    splits = np.diff(ws, axis=1) > (rel_tol * scale)[:, None]
-    broken = np.flatnonzero(np.any(splits != splits[0], axis=1))
+    scale = np.maximum(np.abs(ws[:, 0]), np.abs(ws[:, -1]))
+    cut = rel_tol * np.maximum(scale, 1.0, out=scale)
+    broken = np.zeros(ws.shape[0], bool)
+    for i in range(ws.shape[1] - 1):
+        split = ws[:, i + 1] - ws[:, i] > cut
+        broken |= split != split[0]
+    broken = np.flatnonzero(broken)
     return int(broken[0]) if broken.size else None
 
 

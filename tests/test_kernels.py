@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from geomphase import (
     RotatingRingBlock,
+    SpinHalf,
     StaticRingBlock,
     _kernels,
     assemble_blocks,
@@ -187,6 +188,28 @@ def test_polar_unitary(kern, rng):
         assert np.max(np.abs(h - h.conj().T)) < 1e-11
         assert np.min(np.linalg.eigvalsh((h + h.conj().T) / 2)) > 0
         assert abs(smin - np.linalg.svd(m, compute_uv=False)[-1]) < 1e-10
+    # a 1 x 1 factor is m / |m| over magnitudes from subnormal to near
+    # overflow: exactly 1 at m = 0, NaN at NaN, and smin is |m| itself
+    eps = np.finfo(float).eps
+    m = (rng.normal(size=(4096, 1, 1)) + 1j * rng.normal(size=(4096, 1, 1))) \
+        * np.exp(rng.uniform(-690.0, 700.0, size=(4096, 1, 1)))
+    m[:6, 0, 0] = [0.0, np.nan, complex(1.0, np.nan), complex(np.nan, 0.0),
+                   1e-310 + 1e-310j, -5e-324j]
+    u, smin = kern.polar_unitary(m)
+    assert u.shape == m.shape and u.dtype == np.complex128
+    assert np.array_equal(smin, np.abs(m[:, 0, 0]), equal_nan=True)
+    assert u[0, 0, 0] == 1.0 and smin[0] == 0.0
+    assert np.all(np.isnan(u[1:4].real)) and np.all(np.isnan(u[1:4].imag))
+    # a subnormal m has only its own few digits, but a finite unit phase
+    assert u[5, 0, 0] == -1j
+    assert abs(u[4, 0, 0] - (1 + 1j) / math.sqrt(2)) < 1e-13
+    u, m = u[6:, 0, 0], m[6:, 0, 0]
+    # each part within 2 ulp of 1 of exp(i arg m), and |u| within 2 ulp
+    # of 1 (both reach 2 ulp in ten million such draws)
+    want = np.exp(1j * np.angle(m))
+    assert np.max(np.abs(u.real - want.real)) <= 2 * eps
+    assert np.max(np.abs(u.imag - want.imag)) <= 2 * eps
+    assert np.max(np.abs(np.abs(u) - 1)) <= 2 * eps
 
 
 @on_build
@@ -506,6 +529,30 @@ def test_align_frames_gauges_match_sequential_chain():
     assert np.max(np.abs(aligned[1:-1] - frames[1:-1] @ gs)) < 1e-13
     assert np.array_equal(aligned[0], frames[0])
     assert np.array_equal(aligned[-1], frames[-1])
+
+
+@pytest.mark.parametrize("theta", [math.pi / 6, 0.7], ids=["pi/6", "0.7"])
+@pytest.mark.parametrize("col", [0, 1])
+def test_align_frames_single_column_gauges_match_sequential_chain(theta, col):
+    # raw eigensolver columns of the spin cone over 2^16 steps; the gauges
+    # are the phases of the sequential chain of the same 1 x 1 polar
+    # factors, chained in extended precision. Unnormalized, the chain's
+    # modulus drifts with the step count: 8.1e-12 at theta = 0.7
+    fam = SpinHalf(theta=theta).invariant
+    t = np.linspace(0.0, fam.period, 2**16 + 1)
+    frames = np.ascontiguousarray(_kernels.eigh_batch(fam.sample(t))[1][:, :, col:col + 1])
+    frames[-1] = frames[0]
+    aligned = _kernels.align_frames(frames)
+    polars = _kernels.polar_unitary(np.swapaxes(frames[1:].conj(), 1, 2) @ frames[:-1])[0]
+    chain = np.cumprod(polars[:-1, 0, 0].astype(np.clongdouble))
+    gs = (chain / np.abs(chain))[:, None, None]
+    assert np.max(np.abs(aligned[1:-1] - frames[1:-1] * gs)) < 1e-13
+    assert np.array_equal(aligned[0], frames[0])
+    assert np.array_equal(aligned[-1], frames[-1])
+    # interior overlaps are real positive, and the columns stay unit
+    o = np.sum(aligned[:-2, :, 0].conj() * aligned[1:-1, :, 0], axis=1)
+    assert np.max(np.abs(np.angle(o))) <= 1e-15
+    assert np.max(np.abs(np.linalg.norm(aligned[:, :, 0], axis=1) - 1)) <= 1e-15
 
 
 def test_propagate_matches_extended_precision_chain():
