@@ -36,12 +36,12 @@ t+1 (a Fenwick tree). A total walks the set bits of M; prefixes and
 propagated states come from a downsweep that fills the positions whose
 lowest set bit is h from the multiples of 2h, one batched product per
 level written straight into the result. That is about 2 log2 M numpy
-calls for all M prefixes, where a sequential loop makes M. 1 x 1 factors
-(the gauges of a single-column loop) skip the tree: their prefixes are
-one cumulative product along the stack, bit for bit the sequential
-chain, whose rounding grows about linearly in k eps, as the tree's does
-(against an extended-precision chain of 2^12 and 2^16 unit phases, at
-most 0.16 k eps on both).
+calls for all M prefixes, where a sequential loop makes M. The gauges
+of a single-column loop skip the tree (see align_frames): 1 x 1 factors
+commute, so their prefixes are one cumulative product along the stack,
+bit for bit the sequential chain, whose rounding grows about linearly
+in k eps, as the tree's does (against an extended-precision chain of
+2^12 and 2^16 unit phases, at most 0.16 k eps on both).
 
 Propagation picks its method from the data: a stack of midpoint samples
 that all equal the first is one Hamiltonian H = V diag(w) V^H, whose
@@ -166,16 +166,8 @@ def _prefix_products(factors):
     """Prefix products P (M+1, n, n) of a stack of M factors:
     P[0] = I exactly and P[k+1] = factors[k] @ P[k].
 
-    Consumes factors: the product tree is built in their buffer. 1 x 1
-    factors commute, so their prefixes are one cumulative product along
-    the stack, each factor multiplied in the order of the sequential
-    chain.
+    Consumes factors: the product tree is built in their buffer.
     """
-    if factors.shape[-1] == 1:
-        out = np.empty((factors.shape[0] + 1, 1, 1), np.complex128)
-        out[0] = 1
-        np.multiply.accumulate(factors, axis=0, out=out[1:])
-        return out
     return _downsweep(_upsweep(factors), np.eye(factors.shape[-1]))
 
 
@@ -332,19 +324,20 @@ def align_frames(frames):
     polar factor of the raw overlap times the gauge of frame k: one
     batched polar call and a prefix product of the K x K polar factors
     give every gauge, and one batched product applies them. A single
-    column's gauges are one cumulative product of the overlap phases (see
-    _prefix_products), each then divided by its modulus: a phase m / |m|
-    is unit only to about an ulp, and on a nearly uniform loop that error
-    repeats, so the product's modulus would drift by about M ulp (up to
-    1.1e-11 at 2^16 steps of the spin cone); divided, the aligned columns
-    stay unit to 6e-16. A nearly singular overlap has no well-defined
-    polar factor; the path built from the aligned frames refuses it (see
-    overlap_smins).
+    column's gauges are one cumulative product of the overlap phases, bit
+    for bit the sequential chain, each then divided by its modulus: a
+    phase m / |m| is unit only to about an ulp, and on a nearly uniform
+    loop that error repeats, so the product's modulus would drift by about
+    M ulp (up to 1.1e-11 at 2^16 steps of the spin cone); divided, the
+    aligned columns stay unit to 6e-16. A nearly singular overlap has no
+    well-defined polar factor; the path built from the aligned frames
+    refuses it (see overlap_smins).
     """
     polars = polar_unitary(_gram(frames[1:], frames[:-1]))[0]
-    gs = _prefix_products(polars[:-1])[1:]
-    if gs.shape[-1] == 1:
-        gs = _phase(gs)[0]
+    if polars.shape[-1] == 1:
+        gs = _phase(np.multiply.accumulate(polars[:-1]))[0]
+    else:
+        gs = _prefix_products(polars[:-1])[1:]
     out = np.empty_like(frames)
     out[0], out[-1] = frames[0], frames[-1]
     _matmul(frames[1:-1], gs, out=out[1:-1])

@@ -43,22 +43,18 @@ def hermitian_defect(m):
     """max |M - M^H| over a matrix or a stack (..., n, n), 0 for an empty
     one, NaN if any entry is NaN.
 
-    |M - M^H| is symmetric, so a stack of n <= 2 matrices or of more than
-    _kernels._SHORT_STACK entries is read entry by entry over i <= j from
-    same-shape strided views, without a conjugated transposed copy; one
-    np.max over the entries' maxima lets a NaN through. A single matrix,
-    and a short stack of n > 2 matrices, where those few numpy calls an
-    entry cost more than the copy, take one max |M - M^H| over a
-    conjugated transposed copy. Both forms give the same value.
+    |M - M^H| is symmetric, so a stack is read entry by entry over i <= j
+    from same-shape strided views, without a conjugated transposed copy;
+    one np.max over the entries' maxima lets a NaN through.
     """
     m = np.asarray(m)
     if not m.size:
         return 0.0
-    n = m.shape[-1]
-    if m.ndim > 2 and (n <= 2 or m.size > _kernels._SHORT_STACK):
+    if m.ndim > 2:
+        n = m.shape[-1]
         return np.max([np.max(np.abs(m[..., i, j] - np.conj(m[..., j, i])))
                        for i in range(n) for j in range(i, n)])
-    return np.max(np.abs(m - _adjoint(m)))
+    return np.max(np.abs(m - np.swapaxes(m.conj(), -1, -2)))
 
 
 def _refuse_hermitian_defect(defect, tol, name):

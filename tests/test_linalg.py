@@ -14,7 +14,6 @@ from geomphase import (
     RankDeficiencyError,
     SkewHermiticityError,
     UnitarityError,
-    _kernels,
     circular_distance,
     group_degenerate,
     matrix_log_unitary,
@@ -26,7 +25,6 @@ from geomphase import (
 from geomphase.linalg import (
     _first_structure_break,
     _log_unitary_eig,
-    hermitian_defect,
     require_hermitian,
     require_unitary,
 )
@@ -362,33 +360,6 @@ def test_require_hermitian_stack_refuses_one_nan_entry(i, j, rng):
     stack[9, i, j] = np.nan
     with pytest.raises(HermiticityError, match="nan"):
         require_hermitian(stack)
-
-
-@pytest.mark.parametrize("shape", [(3, 3), (1, 3, 3), (16, 4, 4), (2, 3, 5, 5), (64, 2, 2)])
-def test_hermitian_defect_short_stack_matches_entrywise_form(shape, rng):
-    # a short stack of n > 2 is read through one conjugated transposed
-    # copy; padded with zeros past _SHORT_STACK entries it is read entry
-    # by entry over i <= j. Both must be max |M - M^H| to the last bit,
-    # and NaN wherever one entry is NaN, a diagonal real part included
-    n = shape[-1]
-    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    pad = np.zeros((_kernels._SHORT_STACK // (n * n) + 1, n, n), np.complex128)
-
-    def both(x):
-        long = np.concatenate([x.reshape(-1, n, n), pad])
-        assert long.size > _kernels._SHORT_STACK
-        return hermitian_defect(x), hermitian_defect(long)
-
-    want = np.max(np.abs(a - np.swapaxes(a.conj(), -1, -2)))
-    assert both(a) == (want, want)
-    herm = (a + np.swapaxes(a.conj(), -1, -2)) / 2
-    assert both(herm) == (0.0, 0.0)
-    last = (-1,) * (len(shape) - 2)
-    for i, j, z in [(0, 0, complex(np.nan, 0.5)), (n - 1, n - 1, complex(0.5, np.nan)),
-                    (0, n - 1, np.nan), (n - 1, 0, complex(0.0, np.nan))]:
-        bad = herm.copy()
-        bad[last + (i, j)] = z
-        assert all(np.isnan(both(bad)))
 
 
 def test_polar_unitary_properties(rng):
