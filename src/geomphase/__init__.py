@@ -47,8 +47,6 @@ from .evolution import (
     Trajectory,
     aa_phase,
     cyclic_defect,
-    dynamic_phase,
-    energy_expectation,
     evolve,
 )
 from .invariants import (
@@ -70,7 +68,7 @@ from .holonomy import (
     sample_frames,
     wilson_loop,
 )
-from .action import torus_connection, torus_path, torus_phase
+from .action import torus_path, torus_phase
 from .ringstate import RingState, assembled_evolve, blockwise_evolve
 from .experiments import EXPERIMENTS
 
@@ -108,8 +106,6 @@ __all__ = [
     "Trajectory",
     "PhaseReport",
     "evolve",
-    "energy_expectation",
-    "dynamic_phase",
     "cyclic_defect",
     "aa_phase",
     "invariance_residual",
@@ -129,7 +125,6 @@ __all__ = [
     "holonomy_report",
     "torus_path",
     "torus_phase",
-    "torus_connection",
     "RingState",
     "blockwise_evolve",
     "assembled_evolve",

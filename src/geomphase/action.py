@@ -1,19 +1,20 @@
 """Transport of ring-block wavefunctions along the winding direction of
-the torus: overlap chains under the mean-over-grid inner product, the
-accumulated phase per loop, and per-interval connection samples.
+the torus: overlap chains under the mean-over-grid inner product and the
+accumulated phase per loop.
 
 A torus loop is a closed single-vector FramePath: each sampled
 wavefunction, flattened and scaled to unit norm, is one column, so all
-loop machinery is shared with the holonomy module instead of being
-reimplemented. The samples are written once and normalized in place,
-so the path owns the one buffer they live in.
+loop machinery, the per-interval connection samples included, is shared
+with the holonomy module instead of being reimplemented. The samples
+are written once and normalized in place, so the path owns the one
+buffer they live in.
 """
 
 import numpy as np
 
 from . import _kernels
 from .errors import UnitarityError
-from .holonomy import _array_path, berry_phase, connection_samples
+from .holonomy import _array_path, berry_phase
 from .linalg import TWO_PI
 
 # sampled wavefunctions whose norms drift further than this from one are
@@ -49,8 +50,3 @@ def torus_path(block, branch, steps=4096):
 def torus_phase(path):
     """Loop phase of a torus path in [0, 2*pi)."""
     return berry_phase(path)
-
-
-def torus_connection(path):
-    """Per-interval connection integrals along the winding direction."""
-    return connection_samples(path)[:, 0, 0].real

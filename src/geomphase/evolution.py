@@ -13,7 +13,7 @@ samples H at its midpoints, records the samples' Hermiticity defect and
 largest entry, and propagates the last state of the previous chunk,
 writing its states straight into the run's one (M+1, n) or (M+1, n, K)
 buffer; the samples are refused after the last chunk against 1e-10 of
-the whole run's scale. The energy expectation reads its grid-edge
+the whole run's scale. aa_phase reads the energy expectation's grid-edge
 samples over the same chunks. So a run holds its states plus one
 chunk's temporaries, and a run of at most CHUNK_STEPS steps makes one
 pass over the whole grid.
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import NonCyclicError
-from .linalg import _refuse_hermitian_defect, hermitian_defect, mod_2pi
+from .linalg import _refuse_hermitian_defect, hermitian_defect, mod_2pi, require_unitary
 
 # a cyclic defect above this leaves the phase split undefined
 CYCLIC_TOL = 1e-2
@@ -46,10 +46,6 @@ class Trajectory:
     @property
     def steps(self):
         return self.times.size - 1
-
-    @property
-    def duration(self):
-        return float(self.times[-1] - self.times[0])
 
 
 def _time_grid(family, steps, duration=None):
@@ -114,11 +110,7 @@ def evolve(family, x0, steps=4096, duration=None):
         if not abs(nrm - 1.0) <= 1e-10:
             raise ValueError(f"initial state must be normalized, |psi| = {nrm:.12f}")
     else:
-        defect = float(np.max(np.abs(x0.conj().T @ x0 - np.eye(x0.shape[1]))))
-        if not defect <= 1e-10:
-            raise ValueError(
-                f"initial columns must be orthonormal, max |X^H X - I| = {defect:.3e}"
-            )
+        require_unitary(x0, name="initial column block")
     chunks = _chunks(steps)
     dt = times[-1] / steps
     # one chunk lets propagate allocate the states once the step
@@ -170,18 +162,6 @@ def _energy_and_norms(traj):
     return e, norms
 
 
-def energy_expectation(traj):
-    """Re <psi(t)|H(t)|psi(t)> / <psi(t)|psi(t)> on the grid edges, so a
-    norm drift of the propagator does not leak into the dynamic phase."""
-    e, norms = _energy_and_norms(traj)
-    return e / norms
-
-
-def dynamic_phase(traj):
-    """Minus the time integral of the energy expectation (trapezoid)."""
-    return float(-np.trapezoid(energy_expectation(traj), traj.times))
-
-
 def cyclic_defect(traj):
     """Distance of the final state from the initial ray."""
     psi = _state_path(traj)
@@ -196,8 +176,10 @@ def aa_phase(traj):
 
     The geometric part is returned in [0, 2*pi). A cyclic defect above
     CYCLIC_TOL raises: the split is meaningless when the state does not
-    come back. The energies and the norm drift come from one pass over
-    the states.
+    come back. The dynamic part is minus the trapezoid integral of
+    Re <psi|H|psi> / <psi|psi> over the grid edges, so a norm drift of the
+    propagator does not leak into it; the energies and the norm drift
+    come from one pass over the states.
     """
     defect = cyclic_defect(traj)
     if not defect <= CYCLIC_TOL:

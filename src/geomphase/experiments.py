@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .action import torus_connection, torus_path, torus_phase
+from .action import torus_path, torus_phase
 from .evolution import aa_phase, evolve
 from .holonomy import (
     berry_phase,
@@ -245,7 +245,7 @@ def run_ring_action(n=(0, 1, 2), omega=1.0, eps=0.5, chi=math.pi / 3, n_phi=64,
         for name, br, col in (("plus", "+", 0), ("minus", "-", 1)):
             tp = torus_path(m, br, steps=steps)
             ph = torus_phase(tp)
-            conn = torus_connection(tp)
+            conn = connection_samples(tp)[:, 0, 0].real
             ref = m.references[f"torus_{name}"]
             dens = m.references[f"connection_{name}"]
             grid = np.linspace(0.0, TWO_PI, steps + 1)

@@ -21,7 +21,6 @@ from .errors import (
     GeomPhaseError,
     GridTooCoarseError,
     NonCyclicError,
-    UnitarityError,
 )
 from .evolution import _hermitian_samples
 from .linalg import (
@@ -31,6 +30,7 @@ from .linalg import (
     matrix_log_unitary,
     mod_2pi,
     polar_unitary,
+    require_unitary,
     unitary_eigenphases,
 )
 
@@ -113,7 +113,6 @@ class EigenframeSource:
 
     family: object
     group: int = 0
-    rel_tol: float = 1e-8
 
 
 def sample_frames(source, steps=None, period=None):
@@ -143,12 +142,7 @@ def sample_frames(source, steps=None, period=None):
         )
     if period is None:
         raise ValueError("array sources need an explicit period")
-    gram = _kernels._gram(frames, frames)
-    gdef = float(np.max(np.abs(gram - np.eye(frames.shape[2]))))
-    if not gdef <= 1e-10:
-        raise UnitarityError(
-            f"sampled frames are not orthonormal: max |F^H F - I| = {gdef:.3e}"
-        )
+    require_unitary(frames, name="frame array")
     return _array_path(frames, period)
 
 
@@ -172,16 +166,16 @@ def _eigenframes(source, grid):
     # eigh_batch reads one triangle only, so a non-Hermitian sample is
     # refused here rather than diagonalized as if it mirrored that triangle
     ws, vs = _kernels.eigh_batch(_hermitian_samples(source.family, grid))
-    groups0 = group_degenerate(ws[0], rel_tol=source.rel_tol)
+    groups0 = group_degenerate(ws[0])
     if not 0 <= source.group < len(groups0):
         raise ValueError(
             f"group index {source.group} out of range, found {len(groups0)} "
             f"degenerate clusters at t=0"
         )
     sizes0 = [g.stop - g.start for g in groups0]
-    k = _first_structure_break(ws, rel_tol=source.rel_tol)
+    k = _first_structure_break(ws)
     if k is not None:
-        gk = group_degenerate(ws[k], rel_tol=source.rel_tol)
+        gk = group_degenerate(ws[k])
         raise DegeneracySplitError(
             f"degenerate cluster structure changed at t={grid[k]:.6g}: "
             f"{[g.stop - g.start for g in gk]} vs {sizes0} at t=0"
@@ -265,10 +259,7 @@ def gauge_transform(path, gauges):
             f"gauge path must have shape {(path.times.size, path.nvec, path.nvec)}, "
             f"got {g.shape}"
         )
-    gram = _kernels._gram(g, g)
-    gdef = float(np.max(np.abs(gram - np.eye(path.nvec))))
-    if not gdef <= 1e-10:
-        raise UnitarityError(f"gauge factors are not unitary: defect {gdef:.3e}")
+    require_unitary(g, name="gauge path")
     enddef = float(np.max(np.abs(g[-1] - g[0])))
     if not enddef <= GAUGE_END_TOL:
         raise ValueError(

@@ -73,6 +73,8 @@ def require_hermitian(m, tol=1e-10, name="matrix"):
     return m
 
 
+# the one orthonormality guard: m is a matrix or a stack (..., n, n), or a
+# frame or a stack of frames (..., n, K) whose columns must be orthonormal
 def require_unitary(m, tol=1e-10, name="matrix"):
     m = np.asarray(m)
     defect = np.max(np.abs(_kernels._gram(m, m) - np.eye(m.shape[-1])))
@@ -140,9 +142,9 @@ def unitary_exp(a, tol=1e-10):
     return _kernels._expm_herm(h, -1.0)
 
 
-def unitary_eigenphases(u, tol=1e-8):
+def unitary_eigenphases(u):
     """Sorted eigenphases of a unitary matrix, each in (-pi, pi]."""
-    u = require_unitary(np.asarray(u, dtype=np.complex128), tol=tol)
+    u = require_unitary(np.asarray(u, dtype=np.complex128), tol=1e-8)
     return np.sort(np.angle(np.linalg.eigvals(u)))
 
 
@@ -212,26 +214,25 @@ def _log_unitary_eig(u):
     return theta, (log - _adjoint(log)) / 2
 
 
-def matrix_log_unitary(u, allow_branch_cut=False, tol=1e-8):
+def matrix_log_unitary(u):
     """Principal skew-Hermitian logarithm of a unitary matrix, or of each
     matrix of a stack (..., n, n).
 
     Eigenphases land in (-pi, pi]. An eigenphase within BRANCH_MARGIN of the
-    cut at pi is refused unless allow_branch_cut is set, because a phase
-    straddling the cut makes the branch choice arbitrary. 2 x 2 matrices
-    take a closed form, larger ones a Hermitian eigensolve.
+    cut at pi is refused, because a phase straddling the cut makes the
+    branch choice arbitrary. 2 x 2 matrices take a closed form
+    (_log_unitary2), larger ones a Hermitian eigensolve (_log_unitary_eig).
     """
-    u = require_unitary(np.asarray(u, dtype=np.complex128), tol=tol, name="log argument")
+    u = require_unitary(np.asarray(u, dtype=np.complex128), tol=1e-8, name="log argument")
     theta, log = (_log_unitary2 if u.shape[-1] == 2 else _log_unitary_eig)(u)
-    if not allow_branch_cut:
-        near = np.pi - np.abs(theta)
-        k = np.unravel_index(np.argmin(near), near.shape)
-        if not near[k] >= BRANCH_MARGIN:
-            where = f" of matrix {[int(i) for i in k[:-1]]}" if u.ndim > 2 else ""
-            raise BranchCutError(
-                f"eigenphase {theta[k]:+.9f} of eigenvalue {np.exp(1j * theta[k]):.9f}"
-                f"{where} lies within {BRANCH_MARGIN:.1e} of the log branch cut at pi"
-            )
+    near = np.pi - np.abs(theta)
+    k = np.unravel_index(np.argmin(near), near.shape)
+    if not near[k] >= BRANCH_MARGIN:
+        where = f" of matrix {[int(i) for i in k[:-1]]}" if u.ndim > 2 else ""
+        raise BranchCutError(
+            f"eigenphase {theta[k]:+.9f} of eigenvalue {np.exp(1j * theta[k]):.9f}"
+            f"{where} lies within {BRANCH_MARGIN:.1e} of the log branch cut at pi"
+        )
     return log
 
 

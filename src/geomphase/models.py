@@ -107,6 +107,12 @@ def _cone_frame(theta, omega, t):
     return f
 
 
+def _frame_state(model, branch, t=0.0):
+    """The state of one branch at time t: its column of the model's
+    frame_batch, '+' (or 0) first."""
+    return model.frame_batch(t)[:, _branch_column(branch)]
+
+
 class SpinHalf:
     """Spin half in a constant field along z.
 
@@ -147,8 +153,7 @@ class SpinHalf:
         """Both cone eigenvectors at each time, shape times.shape + (2, 2)."""
         return _cone_frame(self.theta, self.omega_s, np.asarray(times, dtype=float))
 
-    def state(self, branch, t=0.0):
-        return self.frame_batch(t)[:, _branch_column(branch)]
+    state = _frame_state
 
 
 def _branch_column(branch):
@@ -265,8 +270,7 @@ class StaticRingBlock:
         cones = _cone_frame(self.cone, self.splitting, np.asarray(times, dtype=float))
         return _kernels._matmul(self.band_basis, cones)
 
-    def state(self, branch, t=0.0):
-        return self.frame_batch(t)[:, _branch_column(branch)]
+    state = _frame_state
 
 
 class RotatingRingBlock:
@@ -332,8 +336,7 @@ class RotatingRingBlock:
     def frame_batch(self, times):
         return self.band_frame(self.omega_o * np.asarray(times, dtype=float))
 
-    def state(self, branch, t=0.0):
-        return self.frame_batch(t)[:, _branch_column(branch)]
+    state = _frame_state
 
 
 class ActionRingBlock:

@@ -68,17 +68,15 @@ class BlockEvolution:
         return out
 
 
-def blockwise_evolve(models, state, steps=4096, duration=None):
-    """Evolve each occupied block under its own Hamiltonian.
-
-    duration defaults to the period of the lowest occupied block; blocks
-    with other periods are simply run over the same window.
+def blockwise_evolve(models, state, steps=4096):
+    """Evolve each occupied block under its own Hamiltonian over the
+    period of the lowest occupied block; blocks with other periods are
+    simply run over the same window.
     """
     missing = [n for n in state.occupied if n not in models]
     if missing:
         raise ValueError(f"no model supplied for blocks {missing}")
-    if duration is None:
-        duration = models[min(state.occupied)].hamiltonian.period
+    duration = models[min(state.occupied)].hamiltonian.period
     trajs = {}
     for n in state.occupied:
         amp = state.blocks[n]
@@ -87,16 +85,16 @@ def blockwise_evolve(models, state, steps=4096, duration=None):
     return BlockEvolution(float(duration), state.weights(), trajs)
 
 
-def assembled_evolve(models, state, steps=4096, duration=None):
-    """Evolve the direct sum of the occupied blocks as one system.
+def assembled_evolve(models, state, steps=4096):
+    """Evolve the direct sum of the occupied blocks as one system over the
+    period of the lowest occupied block.
 
     Returns (trajectory, weight_drift, phases): the full Trajectory, the
     largest excursion of any block weight from its initial value over the
     whole run, and the per-block endpoint phases.
     """
     order = sorted(state.occupied)
-    if duration is None:
-        duration = models[order[0]].hamiltonian.period
+    duration = models[order[0]].hamiltonian.period
     family = assemble_blocks(
         [models[n].hamiltonian for n in order], period=float(duration)
     )

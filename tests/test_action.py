@@ -11,8 +11,8 @@ from geomphase import (
     UnitarityError,
     berry_phase,
     circular_distance,
+    connection_samples,
     sample_frames,
-    torus_connection,
     torus_path,
     torus_phase,
 )
@@ -123,7 +123,7 @@ def test_torus_connection_density():
     steps = 1024
     delta = 2 * math.pi / steps
     for branch, key in (("+", "connection_plus"), ("-", "connection_minus")):
-        samples = torus_connection(torus_path(b, branch, steps=steps))
+        samples = connection_samples(torus_path(b, branch, steps=steps))[:, 0, 0].real
         assert samples.shape == (steps,)
         # third-order per-interval truncation, ~1.4e-9 at this resolution
         assert np.max(np.abs(samples - b.references[key] * delta)) < 5e-9

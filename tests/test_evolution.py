@@ -25,8 +25,6 @@ from geomphase import (
     circular_distance,
     constant_family,
     cyclic_defect,
-    dynamic_phase,
-    energy_expectation,
     evolve,
 )
 from geomphase import _kernels
@@ -142,19 +140,22 @@ def test_energy_and_dynamic_phase():
     m = SpinHalf(theta=0.0, omega_s=1.0)
     psi0 = np.array([1.0, 0.0], dtype=complex)
     traj = evolve(m.hamiltonian, psi0, steps=256)
-    e = energy_expectation(traj)
-    assert np.max(np.abs(e - 0.5)) < 1e-13
-    assert abs(dynamic_phase(traj) + 0.5 * traj.duration) < 1e-10
+    e, norms = _energy_and_norms(traj)
+    assert np.max(np.abs(e / norms - 0.5)) < 1e-13
+    assert abs(aa_phase(traj).dynamic + 0.5 * traj.times[-1]) < 1e-10
 
 
 def test_dynamic_phase_ignores_norm_drift():
     # a propagator that lets the norm drift by delta must not shift the
-    # dynamic phase by about 2 delta times the integrated energy
+    # dynamic phase by about 2 delta times the integrated energy; an
+    # eigenvector of the rotating ring's U(T) makes the run cyclic
     m = RotatingRingBlock(n=1, eps=0.5, chi=math.pi / 3)
-    traj = evolve(m.hamiltonian, m.state("+"), steps=1024)
+    psi0 = np.linalg.eig(evolve(m.hamiltonian, ID2, steps=1024).states[-1])[1][:, 0]
+    traj = evolve(m.hamiltonian, psi0 / np.linalg.norm(psi0), steps=1024)
     scaled = dataclasses.replace(traj, states=traj.states * (1 + 1e-6))
-    assert abs(dynamic_phase(traj)) > 1.0
-    assert abs(dynamic_phase(scaled) - dynamic_phase(traj)) < 1e-12
+    dynamic = aa_phase(traj).dynamic
+    assert abs(dynamic) > 1.0
+    assert abs(aa_phase(scaled).dynamic - dynamic) < 1e-12
 
 
 def test_phase_report_norm_drift():
@@ -181,7 +182,8 @@ def test_energy_expectation_matches_einsum(blocks, rng):
     psi, hs = traj.states, fam.sample(traj.times)
     want = (np.einsum("mi,mij,mj->m", psi.conj(), hs, psi).real
             / np.einsum("mi,mi->m", psi.conj(), psi).real)
-    got = energy_expectation(traj)
+    e, norms = _energy_and_norms(traj)
+    got = e / norms
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
@@ -189,7 +191,7 @@ def test_phases_refuse_column_block():
     # the scalar split is defined for a state; a block's split is K x K
     m = RotatingRingBlock(n=1, eps=0.5, chi=math.pi / 3)
     traj = evolve(m.hamiltonian, np.eye(2), steps=64)
-    for f in (energy_expectation, cyclic_defect, aa_phase):
+    for f in (_energy_and_norms, cyclic_defect, aa_phase):
         with pytest.raises(ValueError, match=r"\(65, 2, 2\)"):
             f(traj)
 
@@ -251,7 +253,7 @@ def test_trajectory_shapes():
     assert traj.steps == 16
     assert traj.times.shape == (17,)
     assert traj.states.shape == (17, 2)
-    assert abs(traj.duration - m.period) < 1e-12
+    assert abs(traj.times[-1] - m.period) < 1e-12
     props = evolve(m.hamiltonian, ID2, steps=16).states
     assert props.shape == (17, 2, 2)
     assert np.max(np.abs(props[0] - ID2)) == 0.0

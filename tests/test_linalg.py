@@ -12,18 +12,23 @@ from geomphase import (
     BranchCutError,
     HermiticityError,
     RankDeficiencyError,
+    RotatingRingBlock,
     SkewHermiticityError,
     UnitarityError,
     circular_distance,
+    evolve,
+    gauge_transform,
     group_degenerate,
     matrix_log_unitary,
     mod_2pi,
     polar_unitary,
+    sample_frames,
     unitary_eigenphases,
     unitary_exp,
 )
 from geomphase.linalg import (
     _first_structure_break,
+    _log_unitary2,
     _log_unitary_eig,
     require_hermitian,
     require_unitary,
@@ -211,7 +216,8 @@ def test_matrix_log_hard_pairs(rng):
 def test_matrix_log_near_degenerate_property(base, gap, other, seed):
     # a near-degenerate phase pair in a random basis, next to one free
     # phase; the pair at pi - 1e-9 sits inside the branch-cut margin, so
-    # only allow_branch_cut may take its log
+    # matrix_log_unitary refuses it and its log is taken by the eigensolve
+    # path without the refusal
     phases = np.array([base, base - gap, other])
     g = random_unitary(np.random.default_rng(seed), 3)
     u = g @ np.diag(np.exp(1j * phases)) @ g.conj().T
@@ -219,7 +225,7 @@ def test_matrix_log_near_degenerate_property(base, gap, other, seed):
     if at_cut:
         with pytest.raises(BranchCutError):
             matrix_log_unitary(u)
-    a = matrix_log_unitary(u, allow_branch_cut=at_cut)
+    a = _log_unitary_eig(u)[1] if at_cut else matrix_log_unitary(u)
     assert np.max(np.abs(a + a.conj().T)) < 1e-13
     assert np.max(np.abs(unitary_exp(a) - u)) <= 5e-13
     assert np.max(np.abs(a - scipy.linalg.logm(u))) < 1e-12
@@ -241,7 +247,7 @@ def test_matrix_log_2x2_near_degenerate_property(base, gap, seed):
     if at_cut:
         with pytest.raises(BranchCutError):
             matrix_log_unitary(u)
-    a = matrix_log_unitary(u, allow_branch_cut=at_cut)
+    a = _log_unitary2(u)[1] if at_cut else matrix_log_unitary(u)
     assert np.max(np.abs(a + a.conj().T)) < 1e-13
     assert np.max(np.abs(unitary_exp(a) - u)) <= 5e-13
     assert np.max(np.abs(a - scipy.linalg.logm(u))) < 1e-12
@@ -305,10 +311,11 @@ def test_matrix_log_2x2_det_at_exactly_pi():
         assert np.max(np.abs(a - scipy.linalg.logm(m))) < 1e-14
         assert np.max(np.abs(a - _log_unitary_eig(m)[1])) < 1e-14
         assert np.max(np.abs(unitary_exp(a) - m)) < 1e-14
-    # -I: both eigenphases exactly at the cut, refused unless allowed
+    # -I: both eigenphases exactly at the cut, refused; the closed form
+    # without the refusal takes the log
     with pytest.raises(BranchCutError):
         matrix_log_unitary(-np.eye(2, dtype=complex))
-    a = matrix_log_unitary(-np.eye(2, dtype=complex), allow_branch_cut=True)
+    a = _log_unitary2(-np.eye(2, dtype=complex))[1]
     assert np.array_equal(a, 1j * math.pi * np.eye(2))
 
 
@@ -316,7 +323,7 @@ def test_matrix_log_branch_cut():
     u = np.diag(np.exp(1j * np.array([math.pi - 1e-9, 0.3])))
     with pytest.raises(BranchCutError):
         matrix_log_unitary(u)
-    a = matrix_log_unitary(u, allow_branch_cut=True)
+    a = _log_unitary2(u)[1]
     assert np.max(np.abs(unitary_exp(a) - u)) < 1e-12
 
 
@@ -335,6 +342,29 @@ def test_require_unitary_refuses_one_bad_matrix(rng):
         with pytest.raises(UnitarityError):
             require_unitary(stack[7])
         require_unitary(stack[6])
+
+
+@pytest.mark.parametrize("route", ["frame-array", "gauge", "evolve-block"])
+def test_orthonormality_guard_is_require_unitary(route):
+    # every route that takes orthonormal columns from its caller checks
+    # them through require_unitary: max |X^H X - I| = 0.5e-10 passes and
+    # 2e-10 is refused with require_unitary's message and type, a
+    # ValueError
+    b = RotatingRingBlock(n=0)
+    frames = b.frame_batch(np.linspace(0.0, b.period, 65))
+    path = sample_frames(frames, period=b.period)
+
+    def run(scale):
+        if route == "frame-array":
+            return sample_frames(frames * scale, period=b.period)
+        if route == "gauge":
+            return gauge_transform(path, np.broadcast_to(scale * np.eye(2), (65, 2, 2)))
+        return evolve(b.hamiltonian, scale * frames[0], steps=8)
+
+    run(math.sqrt(1.0 + 0.5e-10))
+    with pytest.raises(UnitarityError, match=r"max \|M\^H M - I\| = 2\.000e-10 > 1\.0e-10"):
+        run(math.sqrt(1.0 + 2e-10))
+    assert issubclass(UnitarityError, ValueError)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
