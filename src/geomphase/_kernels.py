@@ -43,11 +43,15 @@ bit for bit the sequential chain, whose rounding grows about linearly
 in k eps, as the tree's does (against an extended-precision chain of
 2^12 and 2^16 unit phases, at most 0.16 k eps on both).
 
-Propagation picks its method from the data: a stack of midpoint samples
-that all equal the first is one Hamiltonian H = V diag(w) V^H, whose
-states V diag(e^{-i w k dt}) V^H x0 come from one eigensolve and one
-product of the (M, n) phases, exact to rounding, where the tree builds
-up rounding over its products. Any other stack goes through the tree.
+A time-independent Hamiltonian H = V diag(w) V^H is propagated in
+closed form: its states V diag(e^{-i w k dt}) V^H x0 come from one
+eigensolve and one product of the (M, n) phases, exact to rounding,
+where the tree builds up rounding over its products
+(_propagate_constant, which takes H itself and the step count). A
+family declared constant hands its one matrix straight to it (see
+evolution.evolve); propagate picks the method from the data, taking the
+closed form for a stack of midpoint samples that all equal the first
+and the tree for any other stack.
 """
 
 import numpy as np
@@ -379,10 +383,10 @@ def _is_constant(h):
     return h.shape[0] > 0 and (h[-1] == h[0]).all() and (h == h[0]).all()
 
 
-def _propagate_constant(h_mid, dt, x0, out=None):
-    """propagate for a stack (M, n, n) of one repeated Hamiltonian:
+def _propagate_constant(h, m, dt, x0, out=None):
+    """propagate for M = m steps of one Hamiltonian h (n, n):
     X[0] = x0 and X[k] = V diag(e^{-i w k dt}) V^H x0, from one
-    eigendecomposition h_mid[0] = V diag(w) V^H.
+    eigendecomposition h = V diag(w) V^H.
 
     Row k, flattened, is sum_j e^{-i w_j k dt} V[:, j] (V^H x0)[j], so
     rows 1..M are one product of the (M, n) phases with the n outer
@@ -390,8 +394,7 @@ def _propagate_constant(h_mid, dt, x0, out=None):
     formed before out is written, so x0 may be out's first row, and X[0]
     is x0 exactly.
     """
-    m = h_mid.shape[0]
-    w, v = eigh_batch(h_mid[:1])
+    w, v = eigh_batch(h[None])
     w, v = w[0], v[0]
     n = w.size
     c = _adjoint(v) @ x0.reshape(n, -1)
@@ -430,5 +433,5 @@ def propagate(h_mid, dt, x0, out=None):
     x0 may be its first row.
     """
     if _is_constant(h_mid):
-        return _propagate_constant(h_mid, dt, x0, out)
+        return _propagate_constant(h_mid[0], h_mid.shape[0], dt, x0, out)
     return _downsweep(_upsweep(_expm_herm(h_mid, dt)), x0, out)

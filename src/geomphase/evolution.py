@@ -3,20 +3,24 @@ top of it: total phase of a (nearly) cyclic run, dynamic phase from the
 energy expectation, and their difference, the geometric remainder.
 
 The propagator uses one midpoint exponential per interval, so each step
-is exactly unitary. Constant Hamiltonians are integrated exactly: when
-every midpoint sample of a chunk equals the first, the chunk's states
-are exp(-i H k dt) x0 from one eigendecomposition of that sample (see
-_kernels.propagate), with no per-step exponentials to chain.
+is exactly unitary. Constant Hamiltonians are integrated exactly: a
+chunk's states are exp(-i H k dt) x0 from one eigendecomposition of H
+(see _kernels.propagate), with no per-step exponentials to chain. A
+family built by constant_family carries its one matrix, which stands
+for every sample: it is checked once and never sampled. Any other
+family's chunk takes the closed form when every midpoint sample of the
+chunk equals the first.
 
 A run goes through its grid in chunks of CHUNK_STEPS steps. Each chunk
-samples H at its midpoints, records the samples' Hermiticity defect and
-largest entry, and propagates the last state of the previous chunk,
-writing its states straight into the run's one (M+1, n) or (M+1, n, K)
-buffer; the samples are refused after the last chunk against 1e-10 of
-the whole run's scale. aa_phase reads the energy expectation's grid-edge
-samples over the same chunks. So a run holds its states plus one
-chunk's temporaries, and a run of at most CHUNK_STEPS steps makes one
-pass over the whole grid.
+propagates the last state of the previous chunk, writing its states
+straight into the run's one (M+1, n) or (M+1, n, K) buffer. Unless the
+family carries its matrix, each chunk first samples H at its midpoints
+and records the samples' Hermiticity defect and largest entry; the
+samples are refused after the last chunk against 1e-10 of the whole
+run's scale. aa_phase reads the energy expectation over the same chunks,
+from the family's matrix or else from grid-edge samples. So a run holds
+its states plus one chunk's temporaries, and a run of at most
+CHUNK_STEPS steps makes one pass over the whole grid.
 """
 
 from dataclasses import dataclass
@@ -120,19 +124,27 @@ def evolve(family, x0, steps=4096, duration=None):
     if len(chunks) > 1:
         states = np.empty((steps + 1,) + x0.shape, np.complex128)
         states[0] = x0
+    h = family.matrix
+    if h is not None:
+        # the one matrix every sample would equal, refused as their stack
+        _refuse_samples(family, hermitian_defect(h), np.max(np.abs(h)))
     defects, scales = [], []
     for a, b in chunks:
-        hs = family.sample(0.5 * (times[a:b] + times[a + 1:b + 1]))
-        defects.append(hermitian_defect(hs))
-        scales.append(np.max(np.abs(hs)))
-        if not np.isfinite(defects[-1]):
-            break  # no scale accepts a NaN or infinite defect
-        if states is None:
-            states = _kernels.propagate(hs, dt, x0)
+        x, out = (x0, None) if states is None else (states[a], states[a:b + 1])
+        if h is not None:
+            x = _kernels._propagate_constant(h, b - a, dt, x, out)
         else:
-            _kernels.propagate(hs, dt, states[a], out=states[a:b + 1])
-    # the tolerance scales with the whole run, as on one whole stack
-    _refuse_samples(family, np.max(defects), np.max(scales))
+            hs = family.sample(0.5 * (times[a:b] + times[a + 1:b + 1]))
+            defects.append(hermitian_defect(hs))
+            scales.append(np.max(np.abs(hs)))
+            if not np.isfinite(defects[-1]):
+                break  # no scale accepts a NaN or infinite defect
+            x = _kernels.propagate(hs, dt, x, out)
+        if states is None:
+            states = x
+    if h is None:
+        # the tolerance scales with the whole run, as on one whole stack
+        _refuse_samples(family, np.max(defects), np.max(scales))
     return Trajectory(family, times, states)
 
 
@@ -148,15 +160,19 @@ def _state_path(traj):
 
 
 def _energy_and_norms(traj):
-    """Re <psi(t)|H(t)|psi(t)> and <psi(t)|psi(t)> on the grid edges,
-    sampled over evolve's chunks; the last chunk takes the final edge."""
+    """Re <psi(t)|H(t)|psi(t)> and <psi(t)|psi(t)> on the grid edges, over
+    evolve's chunks; the last chunk takes the final edge. H is the
+    family's one matrix if it carries one, broadcast over the chunk,
+    and the chunk's grid-edge samples otherwise."""
     psi = _state_path(traj)[..., None]
     steps = traj.steps
+    h = traj.family.matrix
     e, norms = np.empty(steps + 1), np.empty(steps + 1)
     for a, b in _chunks(steps):
         b += b == steps  # the last chunk takes the final edge
         p = psi[a:b]
-        hpsi = _kernels._matmul(traj.family.sample(traj.times[a:b]), p)
+        hs = h if h is not None else traj.family.sample(traj.times[a:b])
+        hpsi = _kernels._matmul(hs, p)
         e[a:b] = _kernels._gram(p, hpsi)[:, 0, 0].real
         norms[a:b] = _kernels._gram(p, p)[:, 0, 0].real
     return e, norms

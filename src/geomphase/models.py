@@ -32,6 +32,9 @@ class OperatorFamily:
     agree to 1e-10 relative, checked once at construction.
     """
 
+    # set by constant_family alone
+    _matrix = None
+
     def __init__(self, dim, period, sampler, label="family"):
         if period <= 0.0:
             raise ValueError(f"period must be positive, got {period}")
@@ -54,16 +57,29 @@ class OperatorFamily:
     def __call__(self, t):
         return self.sample([float(t)])[0]
 
+    @property
+    def matrix(self):
+        """The one read-only Hermitian matrix of a family built by
+        constant_family, which every sample equals; None for any other
+        family."""
+        return self._matrix
+
     def sample(self, times):
         times = np.asarray(times, dtype=float)
         return np.ascontiguousarray(self._sampler(times), dtype=np.complex128)
 
 
+def _coefficient(c, name):
+    """A read-only copy of a Hermitian coefficient matrix, so that a later
+    edit of the caller's array cannot reach the checked family."""
+    c = np.array(c, dtype=np.complex128)
+    c.flags.writeable = False
+    return require_hermitian(c, name=name)
+
+
 def trig_family(c0, c1, c2, omega, period=None, label="family"):
     """H(t) = C0 + cos(omega t) C1 + sin(omega t) C2 with vector sampling."""
-    c0 = require_hermitian(np.asarray(c0, dtype=np.complex128), name="C0")
-    c1 = require_hermitian(np.asarray(c1, dtype=np.complex128), name="C1")
-    c2 = require_hermitian(np.asarray(c2, dtype=np.complex128), name="C2")
+    c0, c1, c2 = _coefficient(c0, "C0"), _coefficient(c1, "C1"), _coefficient(c2, "C2")
     if period is None:
         if omega == 0.0:
             raise ValueError("a constant family needs an explicit period")
@@ -86,12 +102,16 @@ def trig_family(c0, c1, c2, omega, period=None, label="family"):
 
 
 def constant_family(c0, period, label="family"):
-    c0 = require_hermitian(np.asarray(c0, dtype=np.complex128), name="C0")
+    """H(t) = C0, declared constant: the family carries C0 as its matrix,
+    which evolve and aa_phase read in place of samples."""
+    c0 = _coefficient(c0, "C0")
 
     def many(ts):
         return np.broadcast_to(c0, (ts.size,) + c0.shape).copy()
 
-    return OperatorFamily(c0.shape[0], period, many, label=label)
+    family = OperatorFamily(c0.shape[0], period, many, label=label)
+    family._matrix = c0
+    return family
 
 
 def _cone_frame(theta, omega, t):

@@ -26,6 +26,7 @@ from geomphase import (
     constant_family,
     cyclic_defect,
     evolve,
+    transport_error,
 )
 from geomphase import _kernels
 from geomphase.evolution import CHUNK_STEPS, _energy_and_norms, _hermitian_samples
@@ -334,6 +335,36 @@ def test_chunked_energies_match_one_pass(steps):
     rep = aa_phase(traj)
     assert rep.dynamic == float(-np.trapezoid(e / norms, traj.times))
     assert rep.norm_drift == float(np.max(np.abs(norms - 1.0)))
+
+
+@pytest.mark.parametrize("steps", CHUNK_EDGES)
+@pytest.mark.parametrize("make", [SpinHalf, lambda: StaticRingBlock(n=1)], ids=["spin", "ring"])
+def test_declared_constant_route_matches_sampled_route(make, steps):
+    # constant_family's matrix stands for its samples: an undeclared
+    # family over the same sampler takes the sampled route, and the
+    # states of a state and of a column block, every field of aa_phase
+    # and transport_error agree bit for bit; the declared family is not
+    # sampled once it is built
+    model = make()
+    declared = model.hamiltonian
+    sampler = declared._sampler
+    calls = []
+
+    def counted(ts):
+        calls.append(ts.size)
+        return sampler(ts)
+
+    declared._sampler = counted
+    sampled = OperatorFamily(declared.dim, declared.period, sampler, label=declared.label)
+    assert declared.matrix is not None and sampled.matrix is None
+    for x0 in (model.state("+"), model.frame_batch(0.0)):
+        got, want = evolve(declared, x0, steps=steps), evolve(sampled, x0, steps=steps)
+        assert np.array_equal(got.states, want.states)
+        if x0.ndim == 1:
+            assert dataclasses.astuple(aa_phase(got)) == dataclasses.astuple(aa_phase(want))
+    assert (transport_error(declared, model.invariant, steps=steps)
+            == transport_error(sampled, model.invariant, steps=steps))
+    assert calls == []
 
 
 def _spoiled_pair(spoil, lo, hi, bump=None):

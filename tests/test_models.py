@@ -77,6 +77,29 @@ def test_constant_family():
     fam = constant_family(SIGMA_X, 2.0)
     assert np.max(np.abs(fam(1.234) - SIGMA_X)) == 0.0
     assert fam.sample(np.zeros(3)).shape == (3, 2, 2)
+    # the declared matrix is C0; no other family declares one
+    assert np.array_equal(fam.matrix, SIGMA_X) and not fam.matrix.flags.writeable
+    assert trig_family(SIGMA_Z, SIGMA_X, SIGMA_Y, 1.0).matrix is None
+    assert assemble_blocks([fam, fam]).matrix is None
+
+
+def test_families_own_their_coefficients():
+    # a later edit of the caller's arrays reaches neither family, so the
+    # checked coefficients are the ones sampled; the family's own copies
+    # are read-only
+    c = SIGMA_X.copy()
+    const = constant_family(c, 1.0)
+    c0, c1, c2 = SIGMA_Z.copy(), SIGMA_X.copy(), SIGMA_Y.copy()
+    trig = trig_family(c0, c1, c2, 1.0)
+    for a in (c, c0, c1, c2):
+        a[0, 1] = 5.0
+    assert np.array_equal(const(0.3), SIGMA_X)
+    assert np.array_equal(const.matrix, SIGMA_X)
+    t = 0.3
+    want = SIGMA_Z + math.cos(t) * SIGMA_X + math.sin(t) * SIGMA_Y
+    assert np.max(np.abs(trig(t) - want)) <= 1e-15
+    with pytest.raises(ValueError, match="read-only"):
+        const.matrix[0, 1] = 5.0
 
 
 class TestSpinHalf:
