@@ -7,29 +7,34 @@ is exactly unitary. Constant Hamiltonians are integrated exactly: a
 chunk's states are exp(-i H k dt) x0 from one eigendecomposition of H
 (see _kernels.propagate), with no per-step exponentials to chain. A
 family built by constant_family carries its one matrix, which stands
-for every sample: it is checked once and never sampled. Any other
-family's chunk takes the closed form when every midpoint sample of the
-chunk equals the first.
+for every sample, so it is never sampled. Any other family's chunk
+takes the closed form when every midpoint sample of the chunk equals
+the first.
+
+A family built by trig_family, constant_family or assemble_blocks is
+Hermitian by construction (OperatorFamily.hermitian): its coefficients
+were checked once, and its samples at the finite times of a run are
+used unchecked. A plain sampler's midpoint stack is refused as a whole,
+against 1e-10 of its scale, before the first step.
 
 A run goes through its grid in chunks of CHUNK_STEPS steps. Each chunk
 propagates the last state of the previous chunk, writing its states
-straight into the run's one (M+1, n) or (M+1, n, K) buffer. Unless the
-family carries its matrix, each chunk first samples H at its midpoints
-and records the samples' Hermiticity defect and largest entry; the
-samples are refused after the last chunk against 1e-10 of the whole
-run's scale. aa_phase reads the energy expectation over the same chunks,
-from the family's matrix or else from grid-edge samples. So a run holds
-its states plus one chunk's temporaries, and a run of at most
-CHUNK_STEPS steps makes one pass over the whole grid.
+straight into the run's one (M+1, n) or (M+1, n, K) buffer. aa_phase
+reads the energy expectation over the same chunks, from the family's
+matrix or else from grid-edge samples. So a run holds its states plus
+one chunk's temporaries (and, for a plain sampler, its midpoint stack
+while it is checked), and a run of at most CHUNK_STEPS steps makes one
+pass over the whole grid.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
 from .errors import NonCyclicError
-from .linalg import _refuse_hermitian_defect, hermitian_defect, mod_2pi, require_unitary
+from .linalg import mod_2pi, require_hermitian, require_unitary
 
 # a cyclic defect above this leaves the phase split undefined
 CYCLIC_TOL = 1e-2
@@ -54,12 +59,13 @@ class Trajectory:
 
 def _time_grid(family, steps, duration=None):
     """The steps + 1 grid edges of a run over [0, duration]; duration
-    defaults to the family period."""
+    defaults to the family period and must be finite."""
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    if duration is None:
-        duration = family.period
-    return np.linspace(0.0, float(duration), steps + 1)
+    duration = family.period if duration is None else float(duration)
+    if not math.isfinite(duration):
+        raise ValueError(f"duration must be finite, got {duration}")
+    return np.linspace(0.0, duration, steps + 1)
 
 
 def _chunks(steps):
@@ -68,20 +74,19 @@ def _chunks(steps):
     return [(a, min(a + CHUNK_STEPS, steps)) for a in range(0, steps, CHUNK_STEPS)]
 
 
-def _refuse_samples(family, defect, scale):
-    """Refuse samples of family whose Hermiticity defect exceeds 1e-10 of
-    their scale max(1, max |H|); a NaN defect fails, and a NaN scale
-    leaves the floor 1."""
-    _refuse_hermitian_defect(defect, 1e-10 * max(1.0, float(scale)),
-                             f"family {family.label!r} sample stack")
-
-
 def _hermitian_samples(family, times):
-    """family.sample(times), refused with HermiticityError unless every
-    sample is Hermitian to 1e-10 of the stack's scale; a NaN or infinite
-    sample fails the check too."""
+    """family.sample(times) at finite times; a non-finite time raises
+    ValueError. A family that is hermitian by construction is sampled
+    unchecked. A plain sampler's stack is refused with HermiticityError
+    unless every sample is Hermitian to 1e-10 of the stack's scale
+    max(1, max |H|); a NaN or infinite sample fails that check too."""
+    times = np.asarray(times, dtype=float)
+    if not np.all(np.isfinite(times)):
+        raise ValueError(f"family {family.label!r} sampled at a non-finite time")
     hs = family.sample(times)
-    _refuse_samples(family, hermitian_defect(hs), np.max(np.abs(hs)))
+    if not family.hermitian:
+        require_hermitian(hs, 1e-10 * max(1.0, float(np.max(np.abs(hs)))),
+                          f"family {family.label!r} sample stack")
     return hs
 
 
@@ -125,26 +130,20 @@ def evolve(family, x0, steps=4096, duration=None):
         states = np.empty((steps + 1,) + x0.shape, np.complex128)
         states[0] = x0
     h = family.matrix
-    if h is not None:
-        # the one matrix every sample would equal, refused as their stack
-        _refuse_samples(family, hermitian_defect(h), np.max(np.abs(h)))
-    defects, scales = [], []
+    if h is None:
+        mids = 0.5 * (times[:-1] + times[1:])
+        if not family.hermitian:
+            # refused as one stack before the first step, then resampled
+            # chunk by chunk
+            _hermitian_samples(family, mids)
     for a, b in chunks:
         x, out = (x0, None) if states is None else (states[a], states[a:b + 1])
         if h is not None:
             x = _kernels._propagate_constant(h, b - a, dt, x, out)
         else:
-            hs = family.sample(0.5 * (times[a:b] + times[a + 1:b + 1]))
-            defects.append(hermitian_defect(hs))
-            scales.append(np.max(np.abs(hs)))
-            if not np.isfinite(defects[-1]):
-                break  # no scale accepts a NaN or infinite defect
-            x = _kernels.propagate(hs, dt, x, out)
+            x = _kernels.propagate(family.sample(mids[a:b]), dt, x, out)
         if states is None:
             states = x
-    if h is None:
-        # the tolerance scales with the whole run, as on one whole stack
-        _refuse_samples(family, np.max(defects), np.max(scales))
     return Trajectory(family, times, states)
 
 

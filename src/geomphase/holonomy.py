@@ -163,8 +163,9 @@ def _array_path(frames, period):
 
 
 def _eigenframes(source, grid):
-    # eigh_batch reads one triangle only, so a non-Hermitian sample is
-    # refused here rather than diagonalized as if it mirrored that triangle
+    # eigh_batch reads one triangle only, so a plain sampler's
+    # non-Hermitian sample is refused here rather than diagonalized as if
+    # it mirrored that triangle
     ws, vs = _kernels.eigh_batch(_hermitian_samples(source.family, grid))
     groups0 = group_degenerate(ws[0])
     if not 0 <= source.group < len(groups0):

@@ -21,8 +21,9 @@ def invariance_residual(hamiltonian, invariant, times=None, n_times=100):
     a step of 1e-6 of the invariant's period).
 
     An exact conserved partner drives this to the finite-difference floor;
-    anything O(1) means the pair does not belong together. A sample that
-    is not Hermitian, NaN included, raises HermiticityError.
+    anything O(1) means the pair does not belong together. A non-finite
+    time raises ValueError, and a plain sampler's sample that is not
+    Hermitian, NaN included, HermiticityError.
     """
     if hamiltonian.dim != invariant.dim:
         raise ValueError("families act on different dimensions")
@@ -43,7 +44,8 @@ def invariance_residual(hamiltonian, invariant, times=None, n_times=100):
 def eigenvalue_drift(invariant, times=None, n_times=100):
     """max over times and levels of |lambda_j(t) - lambda_j(0)|.
 
-    A sample that is not Hermitian, NaN included, raises HermiticityError.
+    A non-finite time raises ValueError, and a plain sampler's sample
+    that is not Hermitian, NaN included, HermiticityError.
     """
     if times is None:
         times = _default_times(invariant, n_times)
@@ -59,8 +61,8 @@ def transport_error(hamiltonian, invariant, steps=4096):
     group's eigenspace of I(t) and take the largest Frobenius norm.
     Exactly conserved partners give integrator-level noise. The eigenbasis
     of I(0) is evolved as one column block, after the invariant's levels
-    are checked along the grid. A sample of the invariant that is not
-    Hermitian, NaN included, raises HermiticityError.
+    are checked along the grid. A sample of a plain-sampler invariant
+    that is not Hermitian, NaN included, raises HermiticityError.
     """
     times = _time_grid(hamiltonian, steps)
     ws, vs = _kernels.eigh_batch(_hermitian_samples(invariant, times))

@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from . import _kernels
+from ._kernels import _adjoint
 from .errors import DegenerateMixingError
 from .linalg import TWO_PI, require_hermitian
 
@@ -28,18 +29,22 @@ class OperatorFamily:
     """Periodic Hermitian matrix family t -> H(t).
 
     sampler maps a time array (M,) to the stack of matrices (M, dim, dim).
-    The declared period is part of the contract: H(0) and H(period) must
-    agree to 1e-10 relative, checked once at construction.
+    The declared period is part of the contract: it must be finite and
+    positive, and H(0) and H(period) must agree to 1e-10 relative, checked
+    once at construction.
     """
 
     # set by constant_family alone
     _matrix = None
+    # set by trig_family, constant_family and assemble_blocks alone
+    _hermitian = False
 
     def __init__(self, dim, period, sampler, label="family"):
-        if period <= 0.0:
-            raise ValueError(f"period must be positive, got {period}")
+        period = float(period)
+        if not (math.isfinite(period) and period > 0.0):
+            raise ValueError(f"period must be finite and positive, got {period}")
         self.dim = int(dim)
-        self.period = float(period)
+        self.period = period
         self.label = label
         self._sampler = sampler
         h0, hT = self.sample([0.0, self.period])
@@ -64,32 +69,71 @@ class OperatorFamily:
         family."""
         return self._matrix
 
+    @property
+    def hermitian(self):
+        """True if every sample at a finite time is Hermitian bit for bit
+        and finite (trig_family refuses a time at which omega t
+        overflows): the family was built by trig_family or
+        constant_family, or by assemble_blocks from such families. False
+        for a plain sampler, whose samples are checked where they are
+        used."""
+        return self._hermitian
+
     def sample(self, times):
         times = np.asarray(times, dtype=float)
         return np.ascontiguousarray(self._sampler(times), dtype=np.complex128)
 
 
 def _coefficient(c, name):
-    """A read-only copy of a Hermitian coefficient matrix, so that a later
-    edit of the caller's array cannot reach the checked family."""
-    c = np.array(c, dtype=np.complex128)
+    """The exact Hermitian part (C + C^H)/2 of a coefficient matrix that
+    is Hermitian to 1e-10, as a read-only copy, so that a later edit of the
+    caller's array cannot reach the checked family. An exactly Hermitian
+    C is kept bit for bit."""
+    c = require_hermitian(np.asarray(c, dtype=np.complex128), name=name)
+    c = (c + _adjoint(c)) / 2
     c.flags.writeable = False
-    return require_hermitian(c, name=name)
+    return c
+
+
+def _hermitian_family(dim, period, sampler, label, coefficients):
+    """An OperatorFamily marked hermitian, whose samples are real-weighted
+    sums of the given exactly Hermitian coefficients with weights in
+    [-1, 1]. The sum of their |C| must be finite, so that every such
+    sample is."""
+    with np.errstate(over="ignore"):  # an overflow is what is refused
+        bound = sum(np.abs(c) for c in coefficients)
+    if not np.all(np.isfinite(bound)):
+        raise ValueError(f"{label}: the sum of the coefficients' |C| is not finite")
+    family = OperatorFamily(dim, period, sampler, label=label)
+    family._hermitian = True
+    return family
 
 
 def trig_family(c0, c1, c2, omega, period=None, label="family"):
-    """H(t) = C0 + cos(omega t) C1 + sin(omega t) C2 with vector sampling."""
+    """H(t) = C0 + cos(omega t) C1 + sin(omega t) C2 with vector sampling.
+
+    Each sample is Hermitian bit for bit: the coefficients are exactly
+    Hermitian, and a real weight times an entry rounds the entry and its
+    conjugate to conjugates."""
     c0, c1, c2 = _coefficient(c0, "C0"), _coefficient(c1, "C1"), _coefficient(c2, "C2")
+    if not math.isfinite(omega):
+        raise ValueError(f"frequency must be finite, got {omega}")
     if period is None:
         if omega == 0.0:
             raise ValueError("a constant family needs an explicit period")
         period = TWO_PI / abs(omega)
 
     def many(ts):
-        # entry by entry from (M,) cos and sin: the (M, 1, 1) x (n, n)
-        # broadcast runs numpy's buffered iterator; the sum keeps the
-        # order C0 + cos C1 + sin C2
-        co, si = np.cos(omega * ts), np.sin(omega * ts)
+        # entry by entry from (M,) cos and sin, cast to complex once per
+        # call: the (M, 1, 1) x (n, n) broadcast runs numpy's buffered
+        # iterator; the sum keeps the order C0 + cos C1 + sin C2
+        with np.errstate(over="ignore"):  # refused below
+            wt = omega * ts
+        if not np.all(np.isfinite(wt)):
+            # cos and sin of inf are NaN, and samples are used unchecked
+            raise ValueError(f"{label}: omega t is not finite at a sampled time")
+        co = np.cos(wt).astype(np.complex128)
+        si = np.sin(wt).astype(np.complex128)
         out = np.empty(ts.shape + c0.shape, np.complex128)
         for (i, j), a in np.ndenumerate(c0):
             e = out[..., i, j]
@@ -98,7 +142,7 @@ def trig_family(c0, c1, c2, omega, period=None, label="family"):
             e += si * c2[i, j]
         return out
 
-    return OperatorFamily(c0.shape[0], period, many, label=label)
+    return _hermitian_family(c0.shape[0], period, many, label, (c0, c1, c2))
 
 
 def constant_family(c0, period, label="family"):
@@ -109,7 +153,7 @@ def constant_family(c0, period, label="family"):
     def many(ts):
         return np.broadcast_to(c0, (ts.size,) + c0.shape).copy()
 
-    family = OperatorFamily(c0.shape[0], period, many, label=label)
+    family = _hermitian_family(c0.shape[0], period, many, label, (c0,))
     family._matrix = c0
     return family
 
@@ -421,7 +465,9 @@ class ActionRingBlock:
 
 
 def assemble_blocks(families, period=None, label="direct sum"):
-    """Direct sum of operator families on a shared time axis."""
+    """Direct sum of operator families on a shared time axis; hermitian
+    when every block is, since the blocks off the diagonal are exact
+    zeros."""
     families = list(families)
     if not families:
         raise ValueError("need at least one family")
@@ -437,4 +483,6 @@ def assemble_blocks(families, period=None, label="direct sum"):
             h[:, a:b, a:b] = f.sample(ts)
         return h
 
-    return OperatorFamily(total, period, many, label=label)
+    family = OperatorFamily(total, period, many, label=label)
+    family._hermitian = all(f.hermitian for f in families)
+    return family

@@ -3,10 +3,14 @@ reports, and exit codes."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import geomphase
 from geomphase.cli import (
     build_kwargs,
     load_config,
@@ -139,3 +143,13 @@ def test_render_csv_sorted():
              "deviations": {"b": 2.0, "a": 1.0}, "results": {}}]
     body = render_csv(runs)
     assert body.index("x,deviation,a") < body.index("x,deviation,b")
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(geomphase.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-m", "geomphase", "--help"],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("usage: geomphase")

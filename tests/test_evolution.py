@@ -28,7 +28,7 @@ from geomphase import (
     evolve,
     transport_error,
 )
-from geomphase import _kernels
+from geomphase import _kernels, linalg
 from geomphase.evolution import CHUNK_STEPS, _energy_and_norms, _hermitian_samples
 from geomphase.models import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
@@ -246,6 +246,53 @@ def test_time_dependent_hermiticity_enforced():
     u = traj.states[-1]
     want = (math.cos(1.0) * ID2 - 1j * math.sin(1.0) * SIGMA_X)
     assert np.max(np.abs(u - want)) < 1e-12
+
+
+@pytest.mark.parametrize("duration", [math.nan, math.inf, -math.inf])
+def test_non_finite_duration_refused(duration):
+    # a NaN or infinite duration once gave NaN states without an error
+    m = SpinHalf()
+    with pytest.raises(ValueError, match="duration must be finite"):
+        evolve(m.hamiltonian, m.state("+"), steps=8, duration=duration)
+    with pytest.raises(ValueError, match="duration must be finite"):
+        evolve(m.invariant, m.state("+"), steps=8, duration=duration)
+
+
+def _count_defects(monkeypatch):
+    # every call of linalg.hermitian_defect, which require_hermitian makes
+    calls = []
+    original = linalg.hermitian_defect
+
+    def counted(m):
+        calls.append(np.shape(m))
+        return original(m)
+
+    monkeypatch.setattr(linalg, "hermitian_defect", counted)
+    return calls
+
+
+def test_built_families_sampled_without_defect_checks(monkeypatch):
+    # a trig family is Hermitian by construction, so neither evolve nor
+    # _hermitian_samples reads its samples' defect; a plain sampler over
+    # the same function is still checked, once per run
+    fam = RotatingRingBlock(n=1).hamiltonian
+    plain = OperatorFamily(2, fam.period, fam._sampler, label="plain")
+    psi = np.array([1.0, 0.0], dtype=complex)
+    steps = CHUNK_STEPS + 5
+    calls = _count_defects(monkeypatch)
+    traj = evolve(fam, psi, steps=steps)
+    _hermitian_samples(fam, traj.times)
+    assert calls == []
+    want = evolve(plain, psi, steps=steps)
+    assert calls == [(steps, 2, 2)]
+    assert np.array_equal(traj.states, want.states)
+
+
+def test_built_families_refuse_non_finite_times():
+    fam = SpinHalf().invariant
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="non-finite time"):
+            _hermitian_samples(fam, [0.0, bad, 1.0])
 
 
 def test_trajectory_shapes():

@@ -99,6 +99,18 @@ def test_diagnostics_refuse_spoiled_family(check, kind):
         check(SPOILED[kind])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_diagnostics_refuse_non_finite_times(bad):
+    # a built family's samples are used unchecked, so a non-finite time
+    # is refused before it can make a NaN sample
+    m = SpinHalf()
+    times = np.array([0.0, bad, 1.0])
+    with pytest.raises(ValueError, match="non-finite time"):
+        eigenvalue_drift(m.invariant, times=times)
+    with pytest.raises(ValueError, match="non-finite time"):
+        invariance_residual(m.hamiltonian, m.invariant, times=times)
+
+
 def test_transport_error_refuses_non_hermitian_invariant():
     # at n = 2 the eigensolve reads one triangle only, so a spoiled lower
     # corner once gave the clean family's transport error, 3.8e-14

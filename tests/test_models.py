@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geomphase import (
     ActionRingBlock,
@@ -20,6 +22,7 @@ from geomphase import (
     coupling_matrix,
     trig_family,
 )
+from geomphase.linalg import hermitian_defect
 from geomphase.models import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 EPS_CHI = [(0.5, math.pi / 3), (0.3, math.pi / 6), (0.8, 1.1)]
@@ -34,6 +37,40 @@ def mixing_oracle(eps, chi):
 def test_operator_family_validates_period():
     with pytest.raises(ValueError):
         OperatorFamily(2, 1.0, lambda ts: ts[:, None, None] * np.diag([1.0, -1.0]).astype(complex))
+
+
+@pytest.mark.parametrize("period", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_non_finite_or_non_positive_period_refused(period):
+    # a NaN or infinite period once passed the period <= 0 test and gave
+    # NaN states in evolve
+    with pytest.raises(ValueError, match="period must be finite and positive"):
+        OperatorFamily(2, period, lambda ts: np.broadcast_to(SIGMA_Z, ts.shape + (2, 2)))
+    with pytest.raises(ValueError, match="period must be finite and positive"):
+        constant_family(SIGMA_Z, period)
+
+
+@pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
+def test_trig_family_refuses_non_finite_frequency(omega):
+    with pytest.raises(ValueError, match="frequency must be finite"):
+        trig_family(SIGMA_Z, SIGMA_X, SIGMA_Y, omega)
+    with pytest.raises(ValueError, match="frequency must be finite"):
+        trig_family(SIGMA_Z, SIGMA_X, SIGMA_Y, omega, period=1.0)
+
+
+def test_trig_family_refuses_overflowing_phase():
+    # cos and sin of an overflowed omega t are NaN, which the unchecked
+    # samples of a built family must never carry
+    fam = trig_family(SIGMA_Z, SIGMA_X, SIGMA_Y, 1e300)
+    with pytest.raises(ValueError, match="omega t is not finite"):
+        fam.sample([0.0, 1e10])
+
+
+def test_families_with_unbounded_coefficients_refused():
+    # every sample is finite while sum |C_k| is; 3 x 6e307 overflows
+    big = 6e307
+    with pytest.raises(ValueError, match="not finite"):
+        trig_family(big * SIGMA_Z, big * SIGMA_Z, big * SIGMA_Z, 1.0)
+    assert trig_family(big * SIGMA_Z, big * SIGMA_X, 0 * SIGMA_Y, 1.0).hermitian
 
 
 def test_operator_family_validates_hermiticity():
@@ -81,6 +118,71 @@ def test_constant_family():
     assert np.array_equal(fam.matrix, SIGMA_X) and not fam.matrix.flags.writeable
     assert trig_family(SIGMA_Z, SIGMA_X, SIGMA_Y, 1.0).matrix is None
     assert assemble_blocks([fam, fam]).matrix is None
+
+
+def test_hermitian_marks_the_package_builders_only():
+    trig = trig_family(SIGMA_Z, SIGMA_X, SIGMA_Y, 1.0)
+    const = constant_family(SIGMA_X, 2.0 * math.pi)
+    plain = OperatorFamily(2, 2.0 * math.pi, trig._sampler)
+    assert trig.hermitian and const.hermitian and not plain.hermitian
+    assert assemble_blocks([trig, const]).hermitian
+    assert not assemble_blocks([trig, plain]).hermitian
+    with pytest.raises(AttributeError):
+        trig.hermitian = False
+
+
+def test_coefficients_checked_to_1e_10_and_kept_exactly_hermitian():
+    skew = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
+    with pytest.raises(HermiticityError, match="C1 is not Hermitian"):
+        trig_family(SIGMA_Z, SIGMA_X + 2e-10 * skew, SIGMA_Y, 1.0)
+    with pytest.raises(HermiticityError, match="C0 is not Hermitian"):
+        constant_family(SIGMA_X + 2e-10 * skew, 1.0)
+    # within the tolerance the family keeps the exact Hermitian part
+    c = SIGMA_X + 5e-11 * skew + 3e-11j * ID2
+    fam = constant_family(c, 1.0)
+    assert hermitian_defect(fam.matrix) == 0.0
+    assert np.max(np.abs(fam.matrix - c)) <= 5e-11
+    # an exactly Hermitian coefficient is kept bit for bit
+    assert np.array_equal(constant_family(SIGMA_Y, 1.0).matrix, SIGMA_Y)
+
+
+def _near_hermitian(n):
+    # a Hermitian matrix plus a perturbation whose defect stays below the
+    # 1e-10 coefficient tolerance
+    entry = st.floats(-1e3, 1e3)
+    noise = st.floats(-4e-11, 4e-11)
+
+    def build(parts):
+        a, e = np.array(parts[0]), np.array(parts[1])
+        a = a[..., 0] + 1j * a[..., 1]
+        e = e[..., 0] + 1j * e[..., 1]
+        return (a + a.conj().T) / 2 + e
+
+    cell = lambda x: st.lists(st.lists(st.tuples(x, x), min_size=n, max_size=n),
+                              min_size=n, max_size=n)
+    return st.tuples(cell(entry), cell(noise)).map(build)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    data=st.data(),
+    omega=st.floats(0.01, 50.0) | st.floats(-50.0, -0.01),
+    times=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40),
+)
+def test_built_families_sample_exactly_hermitian(n, data, omega, times):
+    # the oracle for sampling them unchecked: at any finite time, every
+    # sample of trig_family, constant_family and their direct sum is
+    # finite and Hermitian bit for bit, from coefficients that were only
+    # Hermitian to 1e-10
+    c0, c1, c2 = (data.draw(_near_hermitian(n)) for _ in range(3))
+    trig = trig_family(c0, c1, c2, omega)
+    const = constant_family(c0, trig.period)
+    for fam in (trig, const, assemble_blocks([trig, const])):
+        assert fam.hermitian
+        hs = fam.sample(times)
+        assert np.all(np.isfinite(hs))
+        assert hermitian_defect(hs) == 0.0
 
 
 def test_families_own_their_coefficients():
