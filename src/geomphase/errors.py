@@ -34,12 +34,12 @@ class GridTooCoarseError(GeomPhaseError):
     """Consecutive samples are too far apart for a trustworthy interval log."""
 
 
-class DegeneracySplitError(GeomPhaseError):
-    """A degenerate eigenvalue group changes rank along the sampled path."""
-
-
 class TrackingAmbiguityError(GeomPhaseError):
     """Eigenvalue crossing makes level tracking along the path ambiguous."""
+
+
+class DegeneracySplitError(TrackingAmbiguityError):
+    """A degenerate eigenvalue group changes size along the sampled path."""
 
 
 class DegenerateMixingError(GeomPhaseError):

@@ -27,6 +27,7 @@ from .models import (
     SpinHalf,
     StaticRingBlock,
     _ring_mixing,
+    _ring_rates,
 )
 from .ringstate import RingState, assembled_evolve, blockwise_evolve
 
@@ -150,11 +151,9 @@ def adiabatic_tracking(n=0, omega=1.0, eps=0.5, chi=math.pi / 3, ratio=1e-2,
     splitting rate; the deviation from the transported-band value shrinks
     linearly with it. norm_drift is the run's propagation health (see
     PhaseReport)."""
-    # the block's splitting rate omega_ns, in the model's own order
-    s = _ring_mixing(eps, chi)[2]
-    kappa = float(omega) * (int(n) + 0.5)
-    m = RotatingRingBlock(n=n, omega=omega, eps=eps, chi=chi,
-                          omega_o=ratio * (kappa * s))
+    # the block's splitting rate omega_ns, without building the block twice
+    omega_ns = _ring_rates(int(n), float(omega), _ring_mixing(eps, chi)[2])[1]
+    m = RotatingRingBlock(n=n, omega=omega, eps=eps, chi=chi, omega_o=ratio * omega_ns)
     traj = evolve(m.hamiltonian, m.state(branch), steps=steps)
     rep = aa_phase(traj)
     ref = m.references["adiabatic_plus" if branch == "+" else "adiabatic_minus"]
@@ -227,7 +226,7 @@ def run_ring_rotating(n=(0, 1, 2), eps=(0.5, 0.3), chi=(math.pi / 3, math.pi / 6
 _ACTION_SPREAD_TOL = 1e-10
 
 
-def run_ring_action(n=(0, 1, 2), omega=1.0, eps=0.5, chi=math.pi / 3, n_phi=64,
+def run_ring_action(n=(0, 1, 2), eps=0.5, chi=math.pi / 3, n_phi=64,
                     steps=4096, tol=1e-6, conn_tol=1e-8, equiv_tol=1e-10):
     """Torus transport of the action eigenfunctions: loop phases against
     pi*(1 -+ cos(2*mix)), per-interval connection samples against the
@@ -237,7 +236,7 @@ def run_ring_action(n=(0, 1, 2), omega=1.0, eps=0.5, chi=math.pi / 3, n_phi=64,
     formulas = None
     phases = {"+": [], "-": []}
     for nn in n:
-        m = ActionRingBlock(n=nn, omega=omega, eps=eps, chi=chi, n_phi=n_phi)
+        m = ActionRingBlock(n=nn, eps=eps, chi=chi, n_phi=n_phi)
         formulas = m.formulas
         key = f"n={nn}"
         r = {}
@@ -268,8 +267,8 @@ def run_ring_action(n=(0, 1, 2), omega=1.0, eps=0.5, chi=math.pi / 3, n_phi=64,
     )
     results["block_spread"] = spread
     ledger.require(spread <= _ACTION_SPREAD_TOL)
-    inputs = {"n": list(n), "omega": omega, "eps": eps, "chi": chi, "n_phi": n_phi,
-              "steps": steps, "tol": tol, "conn_tol": conn_tol, "equiv_tol": equiv_tol}
+    inputs = {"n": list(n), "eps": eps, "chi": chi, "n_phi": n_phi, "steps": steps,
+              "tol": tol, "conn_tol": conn_tol, "equiv_tol": equiv_tol}
     return ledger.report("ring-action", inputs, results,
                          {"formulas": formulas, "values": references})
 
@@ -326,7 +325,7 @@ def run_gauge_sweep(gauges=10, seed=20260814, steps=2048, amplitude=0.6, modes=3
     ledger = _Ledger()
     results = {}
     for name, path in _sweep_paths(steps).items():
-        base_phases = np.sort(unitary_eigenphases(wilson_loop(path)))
+        base_phases = unitary_eigenphases(wilson_loop(path))
         base_samples = connection_samples(path)
         shifts, changes = [], []
         for _ in range(gauges):
@@ -338,7 +337,7 @@ def run_gauge_sweep(gauges=10, seed=20260814, steps=2048, amplitude=0.6, modes=3
                 g = random_unitary_gauge(rng, path.times.size, path.nvec,
                                          modes=modes, amplitude=amplitude)
             moved = gauge_transform(path, g)
-            phases = np.sort(unitary_eigenphases(wilson_loop(moved)))
+            phases = unitary_eigenphases(wilson_loop(moved))
             shifts.append(float(np.max(circular_distance(phases, base_phases))))
             changes.append(float(np.max(np.abs(connection_samples(moved) - base_samples))))
         results[name] = {"max_shift": max(shifts), "min_sample_change": min(changes),
@@ -350,29 +349,25 @@ def run_gauge_sweep(gauges=10, seed=20260814, steps=2048, amplitude=0.6, modes=3
     return ledger.report("gauge-sweep", inputs, results, {"max_shift": 0.0})
 
 
+# steps -> deviation of the + branch's loop phase, or of its cyclic
+# geometric phase, from berry_plus
+def _berry_deviation(model):
+    def run(steps):
+        return circular_distance(berry_phase(_frame_path(model, steps, 0)),
+                                 model.references["berry_plus"])
+    return run
+
+
+def _aa_deviation(model):
+    def run(steps):
+        rep = aa_phase(evolve(model.hamiltonian, model.state("+"), steps=steps))
+        return circular_distance(rep.geometric, model.references["berry_plus"])
+    return run
+
+
 def _convergence_specs():
-    sp = SpinHalf(theta=math.pi / 3)
-    sp_aa = SpinHalf(theta=math.pi / 6)
-    st = StaticRingBlock(n=1, cone=math.pi / 3)
-    st_aa = StaticRingBlock(n=0, cone=math.pi / 6)
     rot = RotatingRingBlock(n=0)
     act = ActionRingBlock(n=0)
-
-    def spin_berry(steps):
-        return circular_distance(berry_phase(_frame_path(sp, steps, 0)),
-                                 sp.references["berry_plus"])
-
-    def spin_aa(steps):
-        rep = aa_phase(evolve(sp_aa.hamiltonian, sp_aa.state("+"), steps=steps))
-        return circular_distance(rep.geometric, sp_aa.references["berry_plus"])
-
-    def static_berry(steps):
-        return circular_distance(berry_phase(_frame_path(st, steps, 0)),
-                                 st.references["berry_plus"])
-
-    def static_aa(steps):
-        rep = aa_phase(evolve(st_aa.hamiltonian, st_aa.state("+"), steps=steps))
-        return circular_distance(rep.geometric, st_aa.references["berry_plus"])
 
     def rotating_gamma(steps):
         rep = holonomy_report(_frame_path(rot, steps), estimate_convergence=False)
@@ -386,10 +381,10 @@ def _convergence_specs():
                                  act.references["torus_plus"])
 
     return {
-        "spin_berry": spin_berry,
-        "spin_aa_geometric": spin_aa,
-        "static_berry": static_berry,
-        "static_aa_geometric": static_aa,
+        "spin_berry": _berry_deviation(SpinHalf(theta=math.pi / 3)),
+        "spin_aa_geometric": _aa_deviation(SpinHalf(theta=math.pi / 6)),
+        "static_berry": _berry_deviation(StaticRingBlock(n=1, cone=math.pi / 3)),
+        "static_aa_geometric": _aa_deviation(StaticRingBlock(n=0, cone=math.pi / 6)),
         "rotating_gamma": rotating_gamma,
         "rotating_wilson": rotating_wilson,
         "torus_phase": torus,

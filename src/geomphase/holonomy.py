@@ -15,18 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import (
-    BranchCutError,
-    DegeneracySplitError,
-    GeomPhaseError,
-    GridTooCoarseError,
-    NonCyclicError,
-)
-from .evolution import _hermitian_samples
+from .errors import BranchCutError, GeomPhaseError, GridTooCoarseError, NonCyclicError
+from .invariants import _eigenspaces, _refuse_split
 from .linalg import (
-    _first_structure_break,
     circular_distance,
-    group_degenerate,
     matrix_log_unitary,
     mod_2pi,
     polar_unitary,
@@ -107,7 +99,7 @@ class FramePath:
 class EigenframeSource:
     """Frames from diagonalizing a periodic operator family.
 
-    group selects one degenerate cluster (ascending eigenvalues) at t=0;
+    group selects one degenerate group (ascending eigenvalues) at t=0;
     the per-sample gauges are arbitrary until alignment.
     """
 
@@ -163,24 +155,14 @@ def _array_path(frames, period):
 
 
 def _eigenframes(source, grid):
-    # eigh_batch reads one triangle only, so a plain sampler's
-    # non-Hermitian sample is refused here rather than diagonalized as if
-    # it mirrored that triangle
-    ws, vs = _kernels.eigh_batch(_hermitian_samples(source.family, grid))
-    groups0 = group_degenerate(ws[0])
+    ws, vs, groups0, k = _eigenspaces(source.family, grid)
     if not 0 <= source.group < len(groups0):
         raise ValueError(
             f"group index {source.group} out of range, found {len(groups0)} "
-            f"degenerate clusters at t=0"
+            f"degenerate groups at t=0"
         )
-    sizes0 = [g.stop - g.start for g in groups0]
-    k = _first_structure_break(ws)
     if k is not None:
-        gk = group_degenerate(ws[k])
-        raise DegeneracySplitError(
-            f"degenerate cluster structure changed at t={grid[k]:.6g}: "
-            f"{[g.stop - g.start for g in gk]} vs {sizes0} at t=0"
-        )
+        _refuse_split(grid, ws, k, groups0)
     frames = np.ascontiguousarray(vs[:, :, groups0[source.group]])
     p0 = frames[0] @ frames[0].conj().T
     pM = frames[-1] @ frames[-1].conj().T

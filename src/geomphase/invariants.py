@@ -7,13 +7,33 @@ actual propagator.
 import numpy as np
 
 from . import _kernels
-from .errors import TrackingAmbiguityError
+from .errors import DegeneracySplitError, TrackingAmbiguityError
 from .evolution import _hermitian_samples, _time_grid, evolve
 from .linalg import _first_structure_break, group_degenerate
 
 
 def _default_times(family, n_times):
     return np.linspace(0.0, family.period, n_times)
+
+
+def _eigenspaces(family, times):
+    """The eigenspaces of a family along a grid, for every caller: the
+    eigenvalues (M, n) and eigenvectors (M, n, n) of its samples, checked
+    by _hermitian_samples since eigh_batch reads one triangle only; the
+    degenerate groups of row 0; and the first row whose groups differ, or
+    None, returned so that a caller can report an earlier failure first."""
+    ws, vs = _kernels.eigh_batch(_hermitian_samples(family, times))
+    return ws, vs, group_degenerate(ws[0]), _first_structure_break(ws)
+
+
+def _refuse_split(times, ws, k, groups):
+    """Raise DegeneracySplitError for row k of ws, whose degenerate groups
+    differ from groups, those of row 0."""
+    sizes = [g.stop - g.start for g in group_degenerate(ws[k])]
+    raise DegeneracySplitError(
+        f"degenerate group structure changed at t={times[k]:.6g}: "
+        f"{sizes} vs {[g.stop - g.start for g in groups]} at t=0"
+    )
 
 
 def invariance_residual(hamiltonian, invariant, times=None, n_times=100):
@@ -62,28 +82,22 @@ def transport_error(hamiltonian, invariant, steps=4096):
     Exactly conserved partners give integrator-level noise. The eigenbasis
     of I(0) is evolved as one column block, after the invariant's levels
     are checked along the grid. A sample of a plain-sampler invariant
-    that is not Hermitian, NaN included, raises HermiticityError.
+    that is not Hermitian, NaN included, raises HermiticityError; a split
+    group or a lost level, whichever comes first, TrackingAmbiguityError.
     """
     times = _time_grid(hamiltonian, steps)
-    ws, vs = _kernels.eigh_batch(_hermitian_samples(invariant, times))
-    groups = group_degenerate(ws[0])
-    sizes0 = [g.stop - g.start for g in groups]
+    ws, vs, groups, broken = _eigenspaces(invariant, times)
     gaps = np.diff([0.5 * (ws[0][g.start] + ws[0][g.stop - 1]) for g in groups])
     min_gap = float(np.min(gaps)) if gaps.size else np.inf
 
     # the first offending time wins; at that time a structure change is
     # reported before lost tracking
-    broken = _first_structure_break(ws)
     starts = [g.start for g in groups]
     moved = np.abs(ws[:, starts] - ws[0, starts])
     far = moved > 0.25 * min_gap
     lost = np.flatnonzero(np.any(far, axis=1))
     if broken is not None and (lost.size == 0 or broken <= lost[0]):
-        gk = group_degenerate(ws[broken])
-        raise TrackingAmbiguityError(
-            f"degenerate group structure changed at t={times[broken]:.6g}: "
-            f"{[g.stop - g.start for g in gk]} vs {sizes0} at t=0"
-        )
+        _refuse_split(times, ws, broken, groups)
     if lost.size:
         k = lost[0]
         j = np.argmax(far[k])
@@ -103,16 +117,17 @@ def transport_error(hamiltonian, invariant, steps=4096):
     return worst
 
 
-def decompose_state(invariant, t, psi, rel_tol=1e-8):
+def decompose_state(invariant, t, psi):
     """Weights of a state on the eigen-groups of I(t).
 
     Returns a list of (mean eigenvalue, weight) pairs, weights summing to
-    the squared norm of the state.
+    the squared norm of the state. A non-finite t raises ValueError, and
+    a plain sampler's sample that is not Hermitian, HermiticityError.
     """
     psi = np.asarray(psi, dtype=np.complex128)
-    w, v = np.linalg.eigh(invariant(t))
+    (w,), (v,), groups, _ = _eigenspaces(invariant, [t])
     out = []
-    for g in group_degenerate(w, rel_tol=rel_tol):
+    for g in groups:
         amp = v[:, g].conj().T @ psi
         out.append((float(np.mean(w[g])), float(np.real(np.vdot(amp, amp)))))
     return out

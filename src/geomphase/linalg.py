@@ -57,19 +57,15 @@ def hermitian_defect(m):
     return np.max(np.abs(m - np.swapaxes(m.conj(), -1, -2)))
 
 
-def _refuse_hermitian_defect(defect, tol, name):
-    """Raise HermiticityError unless defect <= tol; NaN is refused."""
+def require_hermitian(m, tol=1e-10, name="matrix"):
+    """Return m, a matrix or a stack (..., n, n), or raise HermiticityError
+    if its hermitian_defect exceeds tol; NaN is refused."""
+    m = np.asarray(m)
+    defect = hermitian_defect(m)
     if not defect <= tol:
         raise HermiticityError(
             f"{name} is not Hermitian: max |M - M^H| = {defect:.3e} > {tol:.1e}"
         )
-
-
-def require_hermitian(m, tol=1e-10, name="matrix"):
-    """Return m, a matrix or a stack (..., n, n), or raise HermiticityError
-    if its hermitian_defect exceeds tol."""
-    m = np.asarray(m)
-    _refuse_hermitian_defect(hermitian_defect(m), tol, name)
     return m
 
 

@@ -85,12 +85,13 @@ class OperatorFamily:
 
 
 def _coefficient(c, name):
-    """The exact Hermitian part (C + C^H)/2 of a coefficient matrix that
-    is Hermitian to 1e-10, as a read-only copy, so that a later edit of the
-    caller's array cannot reach the checked family. An exactly Hermitian
-    C is kept bit for bit."""
+    """The exact Hermitian part of a coefficient matrix that is Hermitian
+    to 1e-10, as a read-only copy, so that a later edit of the caller's
+    array cannot reach the checked family: C bit for bit if C is exactly
+    Hermitian, else C/2 + C^H/2, which cannot overflow."""
     c = require_hermitian(np.asarray(c, dtype=np.complex128), name=name)
-    c = (c + _adjoint(c)) / 2
+    ch = _adjoint(c)
+    c = c.copy() if np.array_equal(c, ch) else c / 2 + ch / 2
     c.flags.writeable = False
     return c
 
@@ -246,6 +247,13 @@ def _ring_mixing(eps, chi):
     return delta, g, s, theta_mix
 
 
+def _ring_rates(n, omega, s):
+    # kappa = omega (n + 1/2) of ring block n and its band splitting rate
+    # omega_ns = kappa s, s from _ring_mixing
+    kappa = omega * (n + 0.5)
+    return kappa, kappa * s
+
+
 def _band_frame(block, theta):
     """Instantaneous band vectors of a ring block at winding phase theta,
     upper first."""
@@ -286,9 +294,8 @@ class StaticRingBlock:
         self.eps = float(eps)
         self.chi = float(chi)
         self.delta, self.g, self.s, self.theta_mix = _ring_mixing(eps, chi)
+        self.kappa, self.omega_ns = _ring_rates(self.n, self.omega, self.s)
         half = self.n + 0.5
-        self.kappa = self.omega * half
-        self.omega_ns = self.kappa * self.s
         self.splitting = 2.0 * self.omega_ns
         self.period = math.pi / self.omega_ns
         self.e_plus = self.omega * (half + 0.5 * self.s) ** 2
@@ -358,9 +365,8 @@ class RotatingRingBlock:
         self.chi = float(chi)
         self.omega_o = float(omega_o)
         self.delta, self.g, self.s, self.theta_mix = _ring_mixing(eps, chi)
+        self.kappa, self.omega_ns = _ring_rates(self.n, self.omega, self.s)
         half = self.n + 0.5
-        self.kappa = self.omega * half
-        self.omega_ns = self.kappa * self.s
         self.c0 = self.omega * (half * half + 0.25 * self.s * self.s)
         self.period = TWO_PI / abs(self.omega_o)
         self.e_plus = self.c0 + self.kappa * self.s
@@ -412,11 +418,10 @@ class ActionRingBlock:
     direction gives phases pi*(1 -+ cos(2*mix)), upper branch first.
     """
 
-    def __init__(self, n=0, omega=1.0, eps=0.5, chi=math.pi / 3, n_phi=64):
+    def __init__(self, n=0, eps=0.5, chi=math.pi / 3, n_phi=64):
         if n < 0 or n_phi < 4:
             raise ValueError(f"need n >= 0 and n_phi >= 4, got n={n}, n_phi={n_phi}")
         self.n = int(n)
-        self.omega = float(omega)
         self.eps = float(eps)
         self.chi = float(chi)
         self.n_phi = int(n_phi)

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from geomphase import (
+    DegeneracySplitError,
+    EigenframeSource,
     HermiticityError,
     OperatorFamily,
     RotatingRingBlock,
@@ -19,6 +21,7 @@ from geomphase import (
     evolve,
     group_degenerate,
     invariance_residual,
+    sample_frames,
     transport_error,
     trig_family,
 )
@@ -187,6 +190,49 @@ def test_transport_error_reports_first_failure(inv, first):
     with pytest.raises(TrackingAmbiguityError) as exc:
         transport_error(h, inv, steps=256)
     assert str(exc.value).startswith(first)
+
+
+_SPLIT_FIRST = _diag_family([0, 0, 15], [0, 0, -5], [0, 1, 0])
+
+
+def test_split_reported_alike_by_frames_and_transport():
+    # both read the invariant's groups along the same grid from one route;
+    # a split is a kind of tracking ambiguity, so transport_error's
+    # structure-first case is both types
+    assert issubclass(DegeneracySplitError, TrackingAmbiguityError)
+    h = constant_family(np.zeros((3, 3), dtype=complex), 2 * math.pi)
+    with pytest.raises(DegeneracySplitError) as by_frames:
+        sample_frames(EigenframeSource(_SPLIT_FIRST), steps=256)
+    with pytest.raises(DegeneracySplitError) as by_transport:
+        transport_error(h, _SPLIT_FIRST, steps=256)
+    assert str(by_frames.value) == str(by_transport.value) == (
+        "degenerate group structure changed at t=0.0245437: [1, 1, 1] vs [2, 1] at t=0"
+    )
+
+
+def _spoiled_sigma_z():
+    # sigma_z, but with a lower corner that breaks Hermiticity at
+    # 0.4 < t < 0.6; a NaN time takes the clean branch
+    def sampler(ts):
+        hs = np.broadcast_to(SIGMA_Z, ts.shape + (2, 2)).copy()
+        hs[(ts > 0.4) & (ts < 0.6), 1, 0] = 0.3
+        return hs
+
+    return OperatorFamily(2, 1.0, sampler, label="spoiled")
+
+
+@pytest.mark.parametrize("t,error,match", [
+    # eigh reads one triangle only, so the spoiled sample would be
+    # decomposed as if it mirrored that triangle
+    (0.5, HermiticityError, "sample stack is not Hermitian"),
+    (math.nan, ValueError, "non-finite time"),
+], ids=["non-hermitian", "nan-time"])
+def test_decompose_state_samples_like_every_check(t, error, match):
+    fam = _spoiled_sigma_z()
+    psi = np.array([1.0, 0.0], dtype=complex)
+    assert decompose_state(fam, 0.2, psi) == [(-1.0, 0.0), (1.0, 1.0)]
+    with pytest.raises(error, match=match):
+        decompose_state(fam, t, psi)
 
 
 def test_decompose_state_weights():

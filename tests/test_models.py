@@ -3,6 +3,8 @@ scratch here, and every published closed-form value is recomputed from
 its defining expression before being compared."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -71,6 +73,30 @@ def test_families_with_unbounded_coefficients_refused():
     with pytest.raises(ValueError, match="not finite"):
         trig_family(big * SIGMA_Z, big * SIGMA_Z, big * SIGMA_Z, 1.0)
     assert trig_family(big * SIGMA_Z, big * SIGMA_X, 0 * SIGMA_Y, 1.0).hermitian
+
+
+def test_huge_exactly_hermitian_coefficients_build_without_warning():
+    # C + C^H would overflow above about 9e307 though C is finite
+    big = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fams = [trig_family(0 * SIGMA_Z, big * SIGMA_X, 0 * SIGMA_Y, 1.0),
+                constant_family(big * SIGMA_Z, 1.0)]
+        for fam in fams:
+            hs = fam.sample(np.linspace(0.0, fam.period, 33))
+            assert np.all(np.isfinite(hs))
+            assert hermitian_defect(hs) == 0.0
+        assert np.array_equal(fams[1].matrix, big * SIGMA_Z)
+        # a huge coefficient that is Hermitian to 1e-10 only
+        skew = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
+        c = big * ID2 + 5e-11 * skew + 3e-11j * ID2
+        m = constant_family(c, 1.0).matrix
+        assert hermitian_defect(m) == 0.0
+        assert np.max(np.abs(m - c)) <= 5e-11
+        # the refusal of an unbounded sum stays, for its own reason
+        unbounded = re.escape("the sum of the coefficients' |C| is not finite")
+        with pytest.raises(ValueError, match=unbounded):
+            trig_family(SIGMA_Z, big * SIGMA_X, big * SIGMA_X, 1.0)
 
 
 def test_operator_family_validates_hermiticity():
