@@ -184,8 +184,9 @@ def run_ring_rotating(n=(0, 1, 2), eps=(0.5, 0.3), chi=(math.pi / 3, math.pi / 6
     for e, c in zip(eps, chi):
         key = f"eps={_fmt(e)}/chi={_fmt(c)}"
         gammas = []
-        for nn in n:
-            m = RotatingRingBlock(n=nn, omega=omega, eps=e, chi=c, omega_o=omega_o)
+        blocks = [RotatingRingBlock(n=nn, omega=omega, eps=e, chi=c, omega_o=omega_o)
+                  for nn in n]
+        for nn, m in zip(n, blocks):
             rep = holonomy_report(_frame_path(m, steps), estimate_convergence=False)
             gammas.append(rep["gamma"])
             want = {"gamma": m.gamma_ref, "wilson": np.eye(2),
@@ -196,11 +197,10 @@ def run_ring_rotating(n=(0, 1, 2), eps=(0.5, 0.3), chi=(math.pi / 3, math.pi / 6
         for g in gammas[1:]:
             spread = max(spread, float(np.max(np.abs(g - gammas[0]))))
         ledger.require(spread <= spread_tol)
-        m0 = RotatingRingBlock(n=n[0], omega=omega, eps=e, chi=c, omega_o=omega_o)
         results[key] = {"gamma": gammas[0],
                         "gamma_eigenvalues": np.linalg.eigvalsh(gammas[0]),
                         "block_spread": spread}
-        references[key] = {"gamma": m0.gamma_ref, **m0.references}
+        references[key] = {"gamma": blocks[0].gamma_ref, **blocks[0].references}
     if adiabatic:
         runs = {}
         for branch in ("+", "-"):

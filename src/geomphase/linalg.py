@@ -23,6 +23,9 @@ TWO_PI = 2.0 * np.pi
 BRANCH_MARGIN = 1e-6
 # a polar factor needs a smallest singular value above this
 SMIN_FLOOR = 1e-12
+# eigenvalues closer than this times max(1, max |w|) form one degenerate
+# cluster
+CLUSTER_REL_TOL = 1e-8
 
 
 def mod_2pi(x):
@@ -81,13 +84,14 @@ def require_unitary(m, tol=1e-10, name="matrix"):
     return m
 
 
-def group_degenerate(w, rel_tol=1e-8):
-    """Slices of (ascending) eigenvalues equal up to rel_tol * scale."""
+def group_degenerate(w):
+    """Slices of (ascending) eigenvalues equal up to CLUSTER_REL_TOL *
+    scale."""
     w = np.asarray(w, dtype=float)
     if w.size == 0:
         return []
     scale = max(1.0, float(np.max(np.abs(w))))
-    cut = rel_tol * scale
+    cut = CLUSTER_REL_TOL * scale
     groups = []
     start = 0
     for i in range(1, w.size):
@@ -98,7 +102,7 @@ def group_degenerate(w, rel_tol=1e-8):
     return groups
 
 
-def _first_structure_break(ws, rel_tol=1e-8):
+def _first_structure_break(ws):
     """First row of a stack of ascending spectra (M, n) whose degenerate
     clusters differ from those of row 0, or None.
 
@@ -110,7 +114,7 @@ def _first_structure_break(ws, rel_tol=1e-8):
     """
     ws = np.asarray(ws, dtype=float)
     scale = np.maximum(np.abs(ws[:, 0]), np.abs(ws[:, -1]))
-    cut = rel_tol * np.maximum(scale, 1.0, out=scale)
+    cut = CLUSTER_REL_TOL * np.maximum(scale, 1.0, out=scale)
     broken = np.zeros(ws.shape[0], bool)
     for i in range(ws.shape[1] - 1):
         split = ws[:, i + 1] - ws[:, i] > cut

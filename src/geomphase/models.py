@@ -411,7 +411,8 @@ class RotatingRingBlock:
 
 class ActionRingBlock:
     """Action operator of one ring block as a function of the winding
-    phase, plus the matching wavefunctions on the angle grid.
+    phase, plus the matching wavefunctions on the angle grid, sampled as
+    unit vectors.
 
     The operator (n + 1/2) - M(theta)/2 has theta-independent eigenvalues
     n + (1 +- s)/2; transporting its eigenfunctions once around the torus
@@ -452,20 +453,22 @@ class ActionRingBlock:
         """Spinor wavefunction samples on the angle grid at winding phase
         theta, a scalar or an array: shape theta.shape + (n_phi, 2).
 
-        Normalized for the mean-over-grid inner product: modes n and n+1
-        are exactly orthonormal on any grid with n_phi > |n| + 1 points.
+        Each sample is unit when flattened: both components carry the
+        grid weight 1/sqrt(n_phi), and modes n and n+1 are exactly
+        orthonormal on any grid with n_phi > |n| + 1 points.
         """
         col = _branch_column(branch)
         cm, sm = math.cos(self.theta_mix), math.sin(self.theta_mix)
         a, b = (cm, sm) if col == 0 else (-sm, cm)
+        w = 1.0 / math.sqrt(self.n_phi)
         theta = np.asarray(theta, dtype=float)
         out = np.empty(theta.shape + (self.n_phi, 2), dtype=np.complex128)
-        out[..., 0] = a * np.exp(1j * self.n * self.phi_grid)
+        out[..., 0] = (a * w) * np.exp(1j * self.n * self.phi_grid)
         # the lower component is the outer product e^{-i theta} x
         # b e^{i(n+1) phi}: one exp per winding sample and per grid point,
         # not one per pair
         np.multiply(np.exp(-1j * theta)[..., None],
-                    b * np.exp(1j * (self.n + 1) * self.phi_grid), out=out[..., 1])
+                    (b * w) * np.exp(1j * (self.n + 1) * self.phi_grid), out=out[..., 1])
         return out
 
 

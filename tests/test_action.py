@@ -16,7 +16,6 @@ from geomphase import (
     torus_path,
     torus_phase,
 )
-from geomphase.action import TORUS_NORM_TOL
 
 
 class ScaledBlock(ActionRingBlock):
@@ -33,7 +32,19 @@ class ScaledBlock(ActionRingBlock):
 def test_torus_inner_normalization():
     b = ActionRingBlock(n=0, n_phi=64)
     psi = b.torus_state("+", 0.3)
-    assert abs(np.vdot(psi, psi) / b.n_phi - 1.0) < 1e-13
+    assert abs(np.vdot(psi, psi) - 1.0) < 1e-13
+
+
+@pytest.mark.parametrize("n_phi", [16, 48, 64])
+@pytest.mark.parametrize("n", [0, 1, 2, 5])
+def test_torus_state_unit_when_flattened(n, n_phi):
+    # every sample carries the grid weight 1/sqrt(n_phi), also where that
+    # weight is not a power of two (n_phi = 48)
+    b = ActionRingBlock(n=n, eps=0.3, chi=math.pi / 6, n_phi=n_phi)
+    thetas = np.linspace(0.0, 2 * math.pi, 257)
+    for branch in ("+", "-"):
+        psi = b.torus_state(branch, thetas).reshape(thetas.size, -1)
+        assert np.max(np.abs(np.linalg.norm(psi, axis=1) - 1.0)) <= 1e-15
 
 
 def test_torus_state_array_matches_scalar_calls():
@@ -52,14 +63,16 @@ def test_torus_branches_orthogonal():
     for theta in (0.0, 1.7):
         p = b.torus_state("+", theta)
         m = b.torus_state("-", theta)
-        assert abs(np.vdot(p, m) / b.n_phi) < 1e-13
+        assert abs(np.vdot(p, m)) < 1e-13
 
 
 def test_torus_state_matches_per_sample_exponential():
     # the lower component b e^{i((n+1) phi - theta)} against the same
     # phase in extended precision, and against one exp per sample of the
     # summed phase, which is off by that sum's rounding (half an ulp of
-    # 6 pi at n = 2: 1.8e-15) and so moves by more than the new form
+    # 6 pi at n = 2: 1.8e-15) and so moves by more than the new form;
+    # the samples carry the grid weight 1/sqrt(n_phi) = 1/8, which
+    # sqrt(n_phi) undoes exactly
     ulp = np.finfo(float).eps
     thetas = np.linspace(0.0, 2 * math.pi, 4097)
     for n in (0, 1, 2):
@@ -70,7 +83,7 @@ def test_torus_state_matches_per_sample_exponential():
             phase = x - thetas[:, None]
             ext = x.astype(np.longdouble) - thetas[:, None].astype(np.longdouble)
             for branch, (upper, lower) in (("+", (cm, sm)), ("-", (-sm, cm))):
-                psi = b.torus_state(branch, thetas)
+                psi = b.torus_state(branch, thetas) * math.sqrt(b.n_phi)
                 assert psi.shape == (4097, b.n_phi, 2)
                 up = upper * np.exp(1j * n * b.phi_grid)
                 assert np.array_equal(psi[..., 0], np.broadcast_to(up, psi.shape[:2]))
@@ -85,16 +98,15 @@ def test_torus_states_orthogonal_across_n():
     # different radial labels live on different angular harmonics
     a = ActionRingBlock(n=0, n_phi=64)
     b = ActionRingBlock(n=1, n_phi=64)
-    assert abs(np.vdot(a.torus_state("+", 0.5), b.torus_state("+", 0.5)) / 64) < 1e-13
+    assert abs(np.vdot(a.torus_state("+", 0.5), b.torus_state("+", 0.5))) < 1e-13
 
 
 def test_torus_path_values_normalized():
-    # the frames are the samples over sqrt(n_phi), which the mean-over-grid
-    # normalization makes unit columns before any renormalization
+    # the frames are the samples, which are written as unit columns
     b = ActionRingBlock(n=1, n_phi=64)
     path = torus_path(b, "+", steps=256)
     assert path.steps == 256 and path.frames.shape == (257, 2 * b.n_phi, 1)
-    raw = b.torus_state("+", path.times).reshape(257, -1, 1) / math.sqrt(b.n_phi)
+    raw = b.torus_state("+", path.times).reshape(257, -1, 1)
     assert np.max(np.abs(path.frames - raw)) < 1e-13
     assert np.max(np.abs(np.linalg.norm(path.frames, axis=1) - 1.0)) < 1e-13
 
@@ -145,15 +157,20 @@ def test_frame_path_equivalence():
 
 
 def test_norm_tol_is_the_refusal_edge():
+    # the 1e-10 edge of every frame array's unitarity check, on the
+    # squared norm; a kept column is not rescaled
     want = torus_phase(torus_path(ActionRingBlock(n=0, n_phi=32), "+", steps=64))
-    for scale in (1 + 0.5 * TORUS_NORM_TOL, 1 - 0.5 * TORUS_NORM_TOL):
-        kept = torus_path(ScaledBlock(scale, n=0, n_phi=32), "+", steps=64)
-        # renormalized exactly
-        assert np.max(np.abs(np.linalg.norm(kept.frames, axis=1) - 1.0)) <= 1e-15
+    thetas = np.linspace(0.0, 2 * math.pi, 65)
+    for sq in (1 + 0.5e-10, 1 - 0.5e-10):
+        b = ScaledBlock(math.sqrt(sq), n=0, n_phi=32)
+        kept = torus_path(b, "+", steps=64)
+        raw = b.torus_state("+", thetas).reshape(65, -1, 1)
+        assert np.array_equal(kept.frames[:-1], raw[:-1])
+        assert np.array_equal(kept.frames[-1], raw[0])
         assert circular_distance(berry_phase(kept), want) < 1e-12
-    for scale in (1 + 2 * TORUS_NORM_TOL, 1 - 2 * TORUS_NORM_TOL):
-        with pytest.raises(ValueError, match="max norm deviation 2.000e-0"):
-            torus_path(ScaledBlock(scale, n=0, n_phi=32), "+", steps=64)
+    for sq in (1 + 2e-10, 1 - 2e-10):
+        with pytest.raises(UnitarityError, match="max .* = 2.000e-10 > 1.0e-10"):
+            torus_path(ScaledBlock(math.sqrt(sq), n=0, n_phi=32), "+", steps=64)
 
 
 def test_norm_drift_rejected():
@@ -162,8 +179,8 @@ def test_norm_drift_rejected():
 
 
 def test_torus_path_peak_memory():
-    # the samples are normalized in the buffer torus_state writes, so a
-    # loop holds one (M+1, n_phi, 2) stack, not a scaled second copy
+    # the buffer torus_state writes is the path's frames, so a loop holds
+    # one (M+1, n_phi, 2) stack, not a second copy
     b = ActionRingBlock(n=1)
     steps = 4096
     stack = (steps + 1) * b.n_phi * 2 * np.dtype(np.complex128).itemsize
@@ -183,3 +200,25 @@ def test_torus_paths_share_no_memory():
     p, q = (torus_path(b, "+", steps=64) for _ in range(2))
     assert not np.shares_memory(p.frames, q.frames)
     assert np.array_equal(p.frames, q.frames)
+
+
+class _KeptBlock(ActionRingBlock):
+    """An ActionRingBlock that keeps the last array torus_state returned
+    and a copy of what was written to it."""
+
+    def torus_state(self, branch, theta):
+        self.returned = super().torus_state(branch, theta)
+        self.written = self.returned.copy()
+        return self.returned
+
+
+@pytest.mark.parametrize("branch", ["+", "-"])
+def test_torus_path_frames_are_the_samples(branch):
+    # no copy and no rescale: the frames are the returned array reshaped,
+    # bit for bit, with only the endpoint identified with the start
+    b = _KeptBlock(n=1, n_phi=64)
+    path = torus_path(b, branch, steps=256)
+    assert np.shares_memory(path.frames, b.returned)
+    written = b.written.reshape(257, -1, 1)
+    assert np.array_equal(path.frames[:-1], written[:-1])
+    assert np.array_equal(path.frames[-1], written[0])

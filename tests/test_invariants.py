@@ -149,14 +149,14 @@ def test_tracking_ambiguity_on_level_crossing():
         transport_error(h, inv, steps=256)
 
 
-def _transport_error_loop(hamiltonian, invariant, steps, rel_tol=1e-8):
+def _transport_error_loop(hamiltonian, invariant, steps):
     # the per-sample reference: one eigensolve and one projection per time
     traj = evolve(hamiltonian, np.eye(hamiltonian.dim), steps=steps)
     w0, v0 = np.linalg.eigh(invariant(traj.times[0]))
     worst = 0.0
     for t, u in zip(traj.times, traj.states):
         _w, v = np.linalg.eigh(invariant(t))
-        for g in group_degenerate(w0, rel_tol=rel_tol):
+        for g in group_degenerate(w0):
             carried = u @ v0[:, g]
             resid = carried - v[:, g] @ (v[:, g].conj().T @ carried)
             worst = max(worst, float(np.linalg.norm(resid)))

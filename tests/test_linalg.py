@@ -27,6 +27,7 @@ from geomphase import (
     unitary_exp,
 )
 from geomphase.linalg import (
+    CLUSTER_REL_TOL,
     _first_structure_break,
     _log_unitary2,
     _log_unitary_eig,
@@ -61,24 +62,24 @@ def test_circular_distance_properties(rng):
 
 def test_group_degenerate():
     w = np.array([1.0, 1.0 + 1e-12, 2.0, 3.0, 3.0, 3.0])
-    groups = group_degenerate(w, rel_tol=1e-8)
+    groups = group_degenerate(w)
     assert groups == [slice(0, 2), slice(2, 3), slice(3, 6)]
 
 
-def _sizes(w, rel_tol):
-    return [g.stop - g.start for g in group_degenerate(w, rel_tol=rel_tol)]
+def _sizes(w):
+    return [g.stop - g.start for g in group_degenerate(w)]
 
 
 @st.composite
 def _spectra(draw):
     # rows pinned at max|w| = top, built downward from gaps that are
-    # wide, exactly zero, or a relative 1e-6 below or above the cluster
-    # cut rel_tol * max(1, top); later rows copy row 0's gap kinds except
-    # for a few drawn changes. Negated and reversed, a stack keeps its
-    # gaps and has its largest |w| at the first entry of each row.
+    # wide, exactly zero, or a relative 1e-6 below or above the fixed
+    # cluster cut CLUSTER_REL_TOL * max(1, top), which top on either side
+    # of 1 moves; later rows copy row 0's gap kinds except for a few
+    # drawn changes. Negated and reversed, a stack keeps its gaps and has
+    # its largest |w| at the first entry of each row.
     n = draw(st.integers(1, 5))
     m = draw(st.integers(1, 6))
-    rel_tol = draw(st.sampled_from([1e-10, 1e-8, 1e-6]))
     top = draw(st.floats(0.25, 1e3))
     kinds = ("wide", "zero", "below", "above")
     base = draw(st.lists(st.sampled_from(kinds), min_size=n - 1, max_size=n - 1))
@@ -86,7 +87,7 @@ def _spectra(draw):
     for _ in range(draw(st.integers(0, 2)) if n > 1 else 0):
         rows[draw(st.integers(0, m - 1))][draw(st.integers(0, n - 2))] = \
             draw(st.sampled_from(kinds))
-    cut = rel_tol * max(1.0, top)
+    cut = CLUSTER_REL_TOL * max(1.0, top)
     width = {"zero": 0.0, "below": cut * (1 - 1e-6), "above": cut * (1 + 1e-6)}
     ws = np.empty((m, n))
     for r, row in enumerate(rows):
@@ -98,17 +99,15 @@ def _spectra(draw):
             ws[r, i] = ws[r, i + 1] - gap
     if draw(st.booleans()):
         ws = -ws[:, ::-1]
-    return ws, rel_tol
+    return ws
 
 
 @settings(max_examples=300, deadline=None)
 @given(_spectra())
-def test_first_structure_break_matches_group_degenerate(case):
-    ws, rel_tol = case
-    sizes0 = _sizes(ws[0], rel_tol)
-    want = next((k for k in range(ws.shape[0])
-                 if _sizes(ws[k], rel_tol) != sizes0), None)
-    assert _first_structure_break(ws, rel_tol=rel_tol) == want
+def test_first_structure_break_matches_group_degenerate(ws):
+    sizes0 = _sizes(ws[0])
+    want = next((k for k in range(ws.shape[0]) if _sizes(ws[k]) != sizes0), None)
+    assert _first_structure_break(ws) == want
 
 
 def test_unitary_exp_taylor_oracle(rng):

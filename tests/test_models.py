@@ -394,11 +394,13 @@ class TestActionRingBlock:
         phi = b.phi_grid
         psi = b.torus_state("+", theta)
         assert psi.shape == (32, 2)
+        # unit when flattened: the modes carry the grid weight 1/sqrt(32)
+        norm = np.sum(np.abs(psi) ** 2)
+        assert abs(norm - 1.0) < 1e-13
+        psi = psi * math.sqrt(32)
         assert np.max(np.abs(psi[:, 0] - cm * np.exp(1j * phi))) < 1e-13
         want1 = sm * np.exp(1j * (2 * phi - theta))
         assert np.max(np.abs(psi[:, 1] - want1)) < 1e-13
-        norm = np.sum(np.abs(psi) ** 2) / 32
-        assert abs(norm - 1.0) < 1e-13
 
     def test_band_frame_matches_rotating_frames(self):
         a = ActionRingBlock(n=0, eps=0.3, chi=math.pi / 6)
