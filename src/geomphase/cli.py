@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError
+from .errors import ConfigError, GeomPhaseError
 from .experiments import EXPERIMENTS
 
 
@@ -53,11 +53,15 @@ def parse_value(text):
     return _parse_scalar(text)
 
 
-def _coerce(default, value):
+def _coerce(key, default, value):
     # Config values arrive shapeless; sequence-valued parameters accept a
-    # bare scalar as a one-element sequence.
-    if isinstance(default, (tuple, list)) and not isinstance(value, (tuple, list)):
-        return (value,)
+    # bare scalar as a one-element sequence. A number must have its
+    # default's type, or be an int where the default is a float.
+    if isinstance(default, (tuple, list)):
+        seq = value if isinstance(value, (tuple, list)) else (value,)
+        return tuple(_coerce(key, default[0], v) for v in seq)
+    if type(default) in (int, float) and type(value) not in (int, type(default)):
+        raise ConfigError(f"{key} = {value!r} is not of the type of its default {default!r}")
     return value
 
 
@@ -86,7 +90,7 @@ def build_kwargs(name, config, overrides):
     for key, val in overrides.items():
         if val is not None and key in params:
             merged[key] = val
-    return {k: _coerce(params[k].default, v) for k, v in merged.items()}
+    return {k: _coerce(k, params[k].default, v) for k, v in merged.items()}
 
 
 def _jsonify(obj):
@@ -221,7 +225,9 @@ def main(argv=None):
             mark = "ok" if r["converged"] else "FAIL"
             print(f"{r['experiment']:14s} {mark:4s} worst deviation {worst:.3e}")
         return 0 if not failed else 1
-    except ConfigError as e:
+    except ValueError as e:  # a bad value, unless a numerical obstruction
+        if isinstance(e, GeomPhaseError) and not isinstance(e, ConfigError):
+            raise
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -6,10 +6,9 @@ The propagator uses one midpoint exponential per interval, so each step
 is exactly unitary. Constant Hamiltonians are integrated exactly: a
 chunk's states are exp(-i H k dt) x0 from one eigendecomposition of H
 (see _kernels.propagate), with no per-step exponentials to chain. A
-family built by constant_family carries its one matrix, which stands
-for every sample, so it is never sampled. Any other family's chunk
-takes the closed form when every midpoint sample of the chunk equals
-the first.
+family built by constant_family hands its one matrix to that closed
+form; any other family's chunk takes it when every midpoint sample of
+the chunk equals the first.
 
 A family built by trig_family, constant_family or assemble_blocks is
 Hermitian by construction (OperatorFamily.hermitian): its coefficients
@@ -20,11 +19,11 @@ against 1e-10 of its scale, before the first step.
 A run goes through its grid in chunks of CHUNK_STEPS steps. Each chunk
 propagates the last state of the previous chunk, writing its states
 straight into the run's one (M+1, n) or (M+1, n, K) buffer. aa_phase
-reads the energy expectation over the same chunks, from the family's
-matrix or else from grid-edge samples. So a run holds its states plus
-one chunk's temporaries (and, for a plain sampler, its midpoint stack
-while it is checked), and a run of at most CHUNK_STEPS steps makes one
-pass over the whole grid.
+reads the energy expectation over the same chunks, from a built
+family's terms with no sample, else from grid-edge samples. So a run
+samples a built family at most once, at its midpoints, and holds its
+states plus one chunk's temporaries (and, for a plain sampler, its
+midpoint stack while it is checked).
 """
 
 import math
@@ -35,6 +34,7 @@ import numpy as np
 from . import _kernels
 from .errors import NonCyclicError
 from .linalg import mod_2pi, require_hermitian, require_unitary
+from .models import _weights
 
 # a cyclic defect above this leaves the phase split undefined
 CYCLIC_TOL = 1e-2
@@ -160,20 +160,37 @@ def _state_path(traj):
 
 def _energy_and_norms(traj):
     """Re <psi(t)|H(t)|psi(t)> and <psi(t)|psi(t)> on the grid edges, over
-    evolve's chunks; the last chunk takes the final edge. H is the
-    family's one matrix if it carries one, broadcast over the chunk,
-    and the chunk's grid-edge samples otherwise."""
-    psi = _state_path(traj)[..., None]
-    steps = traj.steps
-    h = traj.family.matrix
-    e, norms = np.empty(steps + 1), np.empty(steps + 1)
+    evolve's chunks, the last taking the final edge: from a family's terms
+    as real combinations of |psi_i|^2 and of Re, Im of 2 conj(psi_i) psi_j
+    per pair i < j (doubled there, not the coefficients, which may be the
+    largest float) with the sampler's weights, else from H's samples."""
+    psi, family, steps = _state_path(traj), traj.family, traj.steps
+    terms = family.terms
+    i, j = np.triu_indices(family.dim, 1)
+    if terms is not None:
+        forms = [np.r_[c.real.diagonal(), np.ravel((c.real[i, j], -c.imag[i, j]), "F")]
+                 for c in terms[0]]
+    e, norms = np.zeros(steps + 1), np.empty(steps + 1)
     for a, b in _chunks(steps):
         b += b == steps  # the last chunk takes the final edge
         p = psi[a:b]
-        hs = h if h is not None else traj.family.sample(traj.times[a:b])
-        hpsi = _kernels._matmul(hs, p)
-        e[a:b] = _kernels._gram(p, hpsi)[:, 0, 0].real
-        norms[a:b] = _kernels._gram(p, p)[:, 0, 0].real
+        if terms is None:
+            p = p[..., None]
+            hpsi = _kernels._matmul(family.sample(traj.times[a:b]), p)
+            e[a:b] = _kernels._gram(p, hpsi)[:, 0, 0].real
+            norms[a:b] = _kernels._gram(p, p)[:, 0, 0].real
+            continue
+        ws = (1.0,) + _weights(terms, traj.times[a:b], family.label)
+        re, im = p.real, p.imag
+        feats = list((re * re + im * im).T)
+        for k, m in zip(i, j):
+            x = re[:, k] * re[:, m] + im[:, k] * im[:, m]
+            y = re[:, k] * im[:, m] - im[:, k] * re[:, m]
+            feats += [x + x, y + y]
+        for w, form in zip(ws, forms):
+            for f in np.flatnonzero(form):
+                e[a:b] += feats[f] * (form[f] * w)
+        norms[a:b] = sum(feats[1:family.dim], feats[0])
     return e, norms
 
 

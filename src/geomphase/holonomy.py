@@ -266,7 +266,9 @@ def _fourier_rows(size, modes):
 
 
 def random_phase_gauge(rng, size, winding=0, modes=3, amplitude=0.5):
-    """Smooth random closed U(1) gauge path, shape (size, 1, 1)."""
+    """Smooth random closed U(1) gauge path of integer winding, shape (size, 1, 1)."""
+    if not float(winding).is_integer():
+        raise ValueError(f"winding must be a finite integer, got {winding}")
     s, rows = _fourier_rows(size, modes)
     alpha = 2.0 * np.pi * winding * s
     for c, row in zip(rng.uniform(-amplitude, amplitude, 2 * modes), rows):

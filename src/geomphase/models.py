@@ -31,12 +31,12 @@ class OperatorFamily:
     sampler maps a time array (M,) to the stack of matrices (M, dim, dim).
     The declared period is part of the contract: it must be finite and
     positive, and H(0) and H(period) must agree to 1e-10 relative, checked
-    once at construction.
+    once at construction. trig_family and constant_family also set terms.
     """
 
-    # set by constant_family alone
-    _matrix = None
-    # set by trig_family, constant_family and assemble_blocks alone
+    # set by trig_family and constant_family alone
+    _terms = None
+    # set by assemble_blocks alone
     _hermitian = False
 
     def __init__(self, dim, period, sampler, label="family"):
@@ -63,11 +63,16 @@ class OperatorFamily:
         return self.sample([float(t)])[0]
 
     @property
+    def terms(self):
+        """(coefficients, omega): ((C0, C1, C2), omega) of a trig_family,
+        ((C0,), 0.0) of a constant_family, read-only and exactly
+        Hermitian; None for a plain sampler or an assemble_blocks sum."""
+        return self._terms
+
+    @property
     def matrix(self):
-        """The one read-only Hermitian matrix of a family built by
-        constant_family, which every sample equals; None for any other
-        family."""
-        return self._matrix
+        """C0 of a constant_family, which every sample equals; else None."""
+        return self._terms[0][0] if self._terms and len(self._terms[0]) == 1 else None
 
     @property
     def hermitian(self):
@@ -77,7 +82,7 @@ class OperatorFamily:
         constant_family, or by assemble_blocks from such families. False
         for a plain sampler, whose samples are checked where they are
         used."""
-        return self._hermitian
+        return self._hermitian or self._terms is not None
 
     def sample(self, times):
         times = np.asarray(times, dtype=float)
@@ -96,26 +101,58 @@ def _coefficient(c, name):
     return c
 
 
-def _hermitian_family(dim, period, sampler, label, coefficients):
-    """An OperatorFamily marked hermitian, whose samples are real-weighted
-    sums of the given exactly Hermitian coefficients with weights in
-    [-1, 1]. The sum of their |C| must be finite, so that every such
-    sample is."""
+def _weights(terms, ts, label):
+    """The real (M,) weights cos(omega t), sin(omega t) of the terms after
+    C0 at the times ts, none for a constant family. An overflowed omega t
+    is refused with ValueError: cos and sin of inf are NaN."""
+    if len(terms[0]) == 1:
+        return ()
+    with np.errstate(over="ignore"):  # refused below
+        wt = terms[1] * ts
+    if not np.all(np.isfinite(wt)):
+        raise ValueError(f"{label}: omega t is not finite at a sampled time")
+    return np.cos(wt), np.sin(wt)
+
+
+def _built_family(coefficients, omega, period, label):
+    """The family with terms (coefficients, omega), exactly Hermitian
+    with a finite sum of |C|. Its sampler writes each part of entry
+    i <= j as C0's plus the nonzero later ones times their weights, in
+    the order C0 + cos C1 + sin C2, and entry (j, i) as the conjugate."""
     with np.errstate(over="ignore"):  # an overflow is what is refused
         bound = sum(np.abs(c) for c in coefficients)
     if not np.all(np.isfinite(bound)):
         raise ValueError(f"{label}: the sum of the coefficients' |C| is not finite")
-    family = OperatorFamily(dim, period, sampler, label=label)
-    family._hermitian = True
+    terms = (tuple(coefficients), float(omega))
+    n = coefficients[0].shape[0]
+    plan = [(p, i, j, [float((c.real, c.imag)[p][i, j]) for c in coefficients])
+            for p in (0, 1) for i in range(n) for j in range(i, n)]
+
+    def many(ts):
+        ws = _weights(terms, ts, label)
+        out = np.empty(ts.shape + (n, n), np.complex128)
+        parts = (out.real, out.imag)
+        for p, i, j, vals in plan:
+            e = parts[p][..., i, j]
+            e[...] = vals[0]
+            for w, v in zip(ws, vals[1:]):
+                if v:
+                    e += w * v
+            if i < j:
+                (np.negative if p else np.positive)(e, out=parts[p][..., j, i])
+        return out
+
+    family = OperatorFamily(n, period, many, label=label)
+    family._terms = terms
     return family
 
 
 def trig_family(c0, c1, c2, omega, period=None, label="family"):
     """H(t) = C0 + cos(omega t) C1 + sin(omega t) C2 with vector sampling.
 
-    Each sample is Hermitian bit for bit: the coefficients are exactly
-    Hermitian, and a real weight times an entry rounds the entry and its
-    conjugate to conjugates."""
+    The family's terms are (C0, C1, C2) and omega. Each sample is
+    Hermitian bit for bit: the coefficients are exactly Hermitian, and
+    each entry is formed once, its mirror as the conjugate."""
     c0, c1, c2 = _coefficient(c0, "C0"), _coefficient(c1, "C1"), _coefficient(c2, "C2")
     if not math.isfinite(omega):
         raise ValueError(f"frequency must be finite, got {omega}")
@@ -123,40 +160,13 @@ def trig_family(c0, c1, c2, omega, period=None, label="family"):
         if omega == 0.0:
             raise ValueError("a constant family needs an explicit period")
         period = TWO_PI / abs(omega)
-
-    def many(ts):
-        # entry by entry from (M,) cos and sin, cast to complex once per
-        # call: the (M, 1, 1) x (n, n) broadcast runs numpy's buffered
-        # iterator; the sum keeps the order C0 + cos C1 + sin C2
-        with np.errstate(over="ignore"):  # refused below
-            wt = omega * ts
-        if not np.all(np.isfinite(wt)):
-            # cos and sin of inf are NaN, and samples are used unchecked
-            raise ValueError(f"{label}: omega t is not finite at a sampled time")
-        co = np.cos(wt).astype(np.complex128)
-        si = np.sin(wt).astype(np.complex128)
-        out = np.empty(ts.shape + c0.shape, np.complex128)
-        for (i, j), a in np.ndenumerate(c0):
-            e = out[..., i, j]
-            np.multiply(co, c1[i, j], out=e)
-            e += a
-            e += si * c2[i, j]
-        return out
-
-    return _hermitian_family(c0.shape[0], period, many, label, (c0, c1, c2))
+    return _built_family((c0, c1, c2), omega, period, label)
 
 
 def constant_family(c0, period, label="family"):
-    """H(t) = C0, declared constant: the family carries C0 as its matrix,
-    which evolve and aa_phase read in place of samples."""
-    c0 = _coefficient(c0, "C0")
-
-    def many(ts):
-        return np.broadcast_to(c0, (ts.size,) + c0.shape).copy()
-
-    family = _hermitian_family(c0.shape[0], period, many, label, (c0,))
-    family._matrix = c0
-    return family
+    """H(t) = C0, declared constant: its one term C0 is its matrix, which
+    evolve and aa_phase read in place of samples."""
+    return _built_family((_coefficient(c0, "C0"),), 0.0, period, label)
 
 
 def _cone_frame(theta, omega, t):

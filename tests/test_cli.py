@@ -18,7 +18,7 @@ from geomphase.cli import (
     parse_value,
     render_csv,
 )
-from geomphase.errors import ConfigError
+from geomphase.errors import ConfigError, DegenerateMixingError
 from geomphase.experiments import EXPERIMENTS
 
 QUICK_CFG = str(Path(__file__).resolve().parents[1] / "configs" / "quick.cfg")
@@ -92,6 +92,48 @@ def test_bad_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "a.cfg"
     cfg.write_text("[spin]\nbogus = 1\n")
     assert main(["run", "spin", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("args,section", [
+    (["--steps", "0"], ""),                  # a ValueError from the frame path
+    ([], "[spin]\ntheta = abc\n"),          # not a number
+    ([], "[spin]\nsteps = 1.5\n"),          # not an integer
+])
+def test_bad_value_exits_2(args, section, tmp_path, capsys):
+    # a bad value is a bad invocation: exit 2 with one error line, not a
+    # traceback and not the exit 1 of a run that did not converge
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text(section)
+    assert main(["run", "spin", "--config", str(cfg)] + args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_bad_value_types_refused_in_build_kwargs(tmp_path):
+    cfg = tmp_path / "a.cfg"
+    for body in ("theta = abc", "steps = 1.5", "steps = true", "theta = 0.1, x",
+                 "omega_s = 1, 2"):
+        cfg.write_text(f"[spin]\n{body}\n")
+        with pytest.raises(ConfigError, match="type of its default"):
+            build_kwargs("spin", load_config(str(cfg)), {})
+    # an int stands for a float
+    cfg.write_text("[spin]\nomega_s = 2\ntheta = 0, 1\n")
+    assert build_kwargs("spin", load_config(str(cfg)), {})["theta"] == (0, 1)
+
+
+def test_numerical_obstruction_still_exits_1(tmp_path):
+    # a GeomPhaseError from a run is not a bad invocation: it propagates,
+    # and the process exits 1
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text("[ring-static]\neps = 1.0\nchi = 0.5pi\n")
+    with pytest.raises(DegenerateMixingError):
+        main(["run", "ring-static", "--config", str(cfg)])
+    src = str(Path(geomphase.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-m", "geomphase", "run", "ring-static",
+                          "--config", str(cfg)], capture_output=True, text=True,
+                         env=env, timeout=60)
+    assert out.returncode == 1 and "DegenerateMixingError" in out.stderr
 
 
 def test_run_json_deterministic(tmp_path):

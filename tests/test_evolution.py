@@ -27,8 +27,9 @@ from geomphase import (
     cyclic_defect,
     evolve,
     transport_error,
+    trig_family,
 )
-from geomphase import _kernels, linalg
+from geomphase import _kernels, evolution, linalg
 from geomphase.evolution import CHUNK_STEPS, _energy_and_norms, _hermitian_samples
 from geomphase.models import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
@@ -171,11 +172,29 @@ def test_phase_report_norm_drift():
     assert abs(scaled.dynamic - rep.dynamic) < 1e-12
 
 
-@pytest.mark.parametrize("blocks", [1, 2])
-def test_energy_expectation_matches_einsum(blocks, rng):
-    # one rotating pair (2 x 2) and the direct sum of two (4 x 4)
-    bs = [RotatingRingBlock(n=n, eps=0.5, chi=math.pi / 3) for n in range(blocks)]
-    fam = assemble_blocks([b.hamiltonian for b in bs], period=bs[0].period)
+def _dense_trig(rng):
+    # a random 3 x 3 trig_family with complex entries off the diagonal
+    def herm():
+        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        return (a + a.conj().T) / 2
+    return trig_family(herm(), herm(), herm(), 1.3)
+
+
+ENERGY_FAMILIES = {
+    # direct sums of one rotating pair (2 x 2) and of two (4 x 4): sampled
+    "1": lambda rng: assemble_blocks([RotatingRingBlock(n=0).hamiltonian]),
+    "2": lambda rng: assemble_blocks(
+        [RotatingRingBlock(n=n).hamiltonian for n in range(2)]),
+    # built families: read from their coefficients
+    "trig": lambda rng: RotatingRingBlock(n=1).hamiltonian,
+    "constant": lambda rng: StaticRingBlock(n=1).hamiltonian,
+    "dense-3x3-trig": _dense_trig,
+}
+
+
+@pytest.mark.parametrize("make", ENERGY_FAMILIES.values(), ids=ENERGY_FAMILIES.keys())
+def test_energy_expectation_matches_einsum(make, rng):
+    fam = make(rng)
     psi0 = rng.normal(size=fam.dim) + 1j * rng.normal(size=fam.dim)
     traj = evolve(fam, psi0 / np.linalg.norm(psi0), steps=512)
     # a drifted norm must divide out as it does in the oracle
@@ -366,22 +385,67 @@ def test_chunked_constant_evolve_matches_expm(steps, blocks, rng):
     assert np.max(np.abs(traj.states - want)) <= 1e-13
 
 
+def _sampled(family):
+    # a plain sampler over a built family's own sampler: no terms, so
+    # aa_phase forms H psi from its grid-edge samples
+    return OperatorFamily(family.dim, family.period, family._sampler, label=family.label)
+
+
 @pytest.mark.parametrize("steps", CHUNK_EDGES)
-def test_chunked_energies_match_one_pass(steps):
+def test_chunked_energies_match_one_pass(steps, monkeypatch):
     # the grid-edge energies and norms read chunk by chunk are those of
-    # one pass over the whole trajectory, bit for bit, and so are the
-    # dynamic phase and the norm drift of aa_phase
+    # one whole-grid pass of the same coefficient route, bit for bit, and
+    # so are the dynamic phase and the norm drift of aa_phase; they match
+    # the sampled route to 1e-14 relative
     b = _slow_pair()
     traj = evolve(b.hamiltonian, b.state("+"), steps=steps)
-    psi = traj.states[..., None]
-    hpsi = _kernels._matmul(b.hamiltonian.sample(traj.times), psi)
-    e = _kernels._gram(psi, hpsi)[:, 0, 0].real
-    norms = _kernels._gram(psi, psi)[:, 0, 0].real
     got_e, got_norms = _energy_and_norms(traj)
-    assert np.array_equal(got_e, e) and np.array_equal(got_norms, norms)
     rep = aa_phase(traj)
+    monkeypatch.setattr(evolution, "CHUNK_STEPS", steps + 1)
+    e, norms = _energy_and_norms(traj)
+    assert np.array_equal(got_e, e) and np.array_equal(got_norms, norms)
     assert rep.dynamic == float(-np.trapezoid(e / norms, traj.times))
     assert rep.norm_drift == float(np.max(np.abs(norms - 1.0)))
+    want_e, want_norms = _energy_and_norms(dataclasses.replace(traj, family=_sampled(b.hamiltonian)))
+    assert np.max(np.abs(e - want_e)) <= 1e-14 * np.max(np.abs(want_e))
+    assert np.max(np.abs(norms - want_norms)) <= 1e-14
+
+
+@pytest.mark.parametrize("steps", [CHUNK_STEPS, 2 * CHUNK_STEPS + 3])
+def test_aa_phase_does_not_sample_a_built_family(steps):
+    # a built family's energies come from its terms: aa_phase makes no
+    # sampler call, while a plain sampler over the same function makes
+    # one per chunk, and the phases agree to rounding
+    b = _slow_pair()
+    fam = b.hamiltonian
+    sampler, calls = fam._sampler, []
+
+    def counted(ts):
+        calls.append(ts.size)
+        return sampler(ts)
+
+    traj = evolve(fam, b.state("+"), steps=steps)
+    fam._sampler = counted
+    got = aa_phase(traj)
+    assert calls == []
+    plain = dataclasses.replace(traj, family=_sampled(fam))
+    calls.clear()  # the construction's check of H(0) against H(T)
+    want = aa_phase(plain)
+    assert len(calls) == len(evolution._chunks(steps))
+    assert abs(got.dynamic - want.dynamic) <= 1e-12 and got.total == want.total
+
+
+def test_energy_route_refuses_overflowed_phase():
+    # the grid edge 1e10 of this trajectory puts omega t past the
+    # largest float: refused with the sampler's ValueError, not read as
+    # NaN weights
+    fam = trig_family(SIGMA_Z, SIGMA_X, SIGMA_Y, 1e300)
+    state = np.array([1.0, 0.0], dtype=complex)
+    traj = dataclasses.replace(evolve(fam, state, steps=1), times=np.array([0.0, 1e10]),
+                               states=np.stack([state, state]))
+    for f in (fam.sample, lambda ts: _energy_and_norms(traj), lambda ts: aa_phase(traj)):
+        with pytest.raises(ValueError, match="omega t is not finite"):
+            f(traj.times)
 
 
 @pytest.mark.parametrize("steps", CHUNK_EDGES)

@@ -241,6 +241,15 @@ def test_random_phase_gauge_is_bitwise_the_per_mode_sum(winding):
     assert got_rng.bit_generator.state == rng.bit_generator.state
 
 
+@pytest.mark.parametrize("winding", [0.5, -1.25, math.nan, math.inf])
+def test_random_phase_gauge_refuses_open_winding(winding):
+    # a winding of 0.5 would jump by about 2 between the last two samples,
+    # hidden by the endpoint's identification with the start
+    with pytest.raises(ValueError, match="winding must be a finite integer"):
+        random_phase_gauge(np.random.default_rng(5), 65, winding=winding)
+    assert random_phase_gauge(np.random.default_rng(5), 65, winding=2.0).shape == (65, 1, 1)
+
+
 def test_gauge_covariance_of_loop_unitary(rng):
     path, _ = rotating_path(steps=1024)
     g = random_unitary_gauge(rng, path.steps + 1, 2, amplitude=0.7)

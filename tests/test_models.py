@@ -2,6 +2,7 @@
 scratch here, and every published closed-form value is recomputed from
 its defining expression before being compared."""
 
+import dataclasses
 import math
 import re
 import warnings
@@ -19,11 +20,13 @@ from geomphase import (
     RotatingRingBlock,
     SpinHalf,
     StaticRingBlock,
+    aa_phase,
     assemble_blocks,
     constant_family,
     coupling_matrix,
     trig_family,
 )
+from geomphase.evolution import Trajectory, _energy_and_norms
 from geomphase.linalg import hermitian_defect
 from geomphase.models import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
@@ -87,6 +90,18 @@ def test_huge_exactly_hermitian_coefficients_build_without_warning():
             assert np.all(np.isfinite(hs))
             assert hermitian_defect(hs) == 0.0
         assert np.array_equal(fams[1].matrix, big * SIGMA_Z)
+        # aa_phase reads their energies from the coefficients: the doubled
+        # cross feature 2 Re conj(psi_0) psi_1 of (1, 1)/sqrt 2 is 1, where
+        # a doubled coefficient would overflow
+        even = np.full(2, 1 / math.sqrt(2), dtype=complex)
+        tilted = np.array([math.cos(math.pi / 8), math.sin(math.pi / 8)], dtype=complex)
+        for fam, e_even in zip(fams, (big, 0.0)):
+            times = np.linspace(0.0, fam.period, 33)
+            e, _ = _energy_and_norms(Trajectory(fam, times, np.tile(even, (33, 1))))
+            assert np.all(np.isfinite(e)) and e[0] == pytest.approx(e_even, rel=1e-15)
+            # and the split of a state whose energy stays below 0.71 big
+            rep = aa_phase(Trajectory(fam, times, np.tile(tilted, (33, 1))))
+            assert all(math.isfinite(v) for v in dataclasses.astuple(rep))
         # a huge coefficient that is Hermitian to 1e-10 only
         skew = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
         c = big * ID2 + 5e-11 * skew + 3e-11j * ID2
@@ -144,6 +159,18 @@ def test_constant_family():
     assert np.array_equal(fam.matrix, SIGMA_X) and not fam.matrix.flags.writeable
     assert trig_family(SIGMA_Z, SIGMA_X, SIGMA_Y, 1.0).matrix is None
     assert assemble_blocks([fam, fam]).matrix is None
+    # the matrix is the one coefficient of the family's terms; a trig
+    # family carries three and its frequency, a direct sum and a plain
+    # sampler none
+    (c,), omega = fam.terms
+    assert c is fam.matrix and omega == 0.0
+    trig = trig_family(SIGMA_Z, SIGMA_X, SIGMA_Y, 2.5)
+    assert [np.array_equal(a, b) for a, b in zip(trig.terms[0], (SIGMA_Z, SIGMA_X, SIGMA_Y))] == [True] * 3
+    assert trig.terms[1] == 2.5
+    assert assemble_blocks([fam, fam]).terms is None
+    assert OperatorFamily(2, trig.period, trig._sampler).terms is None
+    with pytest.raises(AttributeError):
+        fam.terms = None
 
 
 def test_hermitian_marks_the_package_builders_only():
@@ -174,9 +201,9 @@ def test_coefficients_checked_to_1e_10_and_kept_exactly_hermitian():
 
 def _near_hermitian(n):
     # a Hermitian matrix plus a perturbation whose defect stays below the
-    # 1e-10 coefficient tolerance
+    # 1e-10 coefficient tolerance: |e_ij - conj(e_ji)| <= sqrt(2) x 7e-11
     entry = st.floats(-1e3, 1e3)
-    noise = st.floats(-4e-11, 4e-11)
+    noise = st.floats(-3.5e-11, 3.5e-11)
 
     def build(parts):
         a, e = np.array(parts[0]), np.array(parts[1])
@@ -209,6 +236,13 @@ def test_built_families_sample_exactly_hermitian(n, data, omega, times):
         hs = fam.sample(times)
         assert np.all(np.isfinite(hs))
         assert hermitian_defect(hs) == 0.0
+    # by value, the samples are C0 + cos C1 + sin C2 formed in complex
+    # arithmetic from the family's terms, entry and mirror alike
+    (e0, e1, e2), w = trig.terms
+    wt = w * np.asarray(times, dtype=float)
+    want = e0 + np.cos(wt)[:, None, None] * e1 + np.sin(wt)[:, None, None] * e2
+    assert np.array_equal(trig.sample(times), want)
+    assert np.array_equal(const.sample(times), np.broadcast_to(e0, want.shape))
 
 
 def test_families_own_their_coefficients():
