@@ -55,12 +55,13 @@ def parse_value(text):
 
 def _coerce(key, default, value):
     # Config values arrive shapeless; sequence-valued parameters accept a
-    # bare scalar as a one-element sequence. A number must have its
-    # default's type, or be an int where the default is a float.
+    # bare scalar as a one-element sequence. A boolean or a number must
+    # have its default's type, or be an int where the default is a float.
     if isinstance(default, (tuple, list)):
         seq = value if isinstance(value, (tuple, list)) else (value,)
         return tuple(_coerce(key, default[0], v) for v in seq)
-    if type(default) in (int, float) and type(value) not in (int, type(default)):
+    allowed = {bool: (bool,), int: (int,), float: (int, float)}.get(type(default))
+    if allowed and type(value) not in allowed:
         raise ConfigError(f"{key} = {value!r} is not of the type of its default {default!r}")
     return value
 

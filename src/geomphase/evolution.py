@@ -14,16 +14,18 @@ A family built by trig_family, constant_family or assemble_blocks is
 Hermitian by construction (OperatorFamily.hermitian): its coefficients
 were checked once, and its samples at the finite times of a run are
 used unchecked. A plain sampler's midpoint stack is refused as a whole,
-against 1e-10 of its scale, before the first step.
+against 1e-10 of its scale, before the first step, and aa_phase refuses
+its grid-edge stack the same way before the first energy.
 
 A run goes through its grid in chunks of CHUNK_STEPS steps. Each chunk
 propagates the last state of the previous chunk, writing its states
 straight into the run's one (M+1, n) or (M+1, n, K) buffer. aa_phase
-reads the energy expectation over the same chunks, from a built
-family's terms with no sample, else from grid-edge samples. So a run
+reads the energy expectation over the same chunks as one sum of
+weighted quadratic forms of the states: a built family's terms with no
+sample, else identity forms weighted by grid-edge samples. So a run
 samples a built family at most once, at its midpoints, and holds its
 states plus one chunk's temporaries (and, for a plain sampler, its
-midpoint stack while it is checked).
+midpoint or edge stack while it is checked).
 """
 
 import math
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import NonCyclicError
+from .errors import GeomPhaseError, NonCyclicError
 from .linalg import mod_2pi, require_hermitian, require_unitary
 from .models import _weights
 
@@ -158,29 +160,44 @@ def _state_path(traj):
     return traj.states
 
 
+def _form(h, i, j):
+    """Re <psi|h|psi> of a Hermitian h (..., n, n) as the list of its real
+    coefficients on the features of psi: h's real diagonal for the
+    |psi_i|^2, then Re h_ij and -Im h_ij for each pair (i, j) of the upper
+    triangle."""
+    re, im = h.real, h.imag
+    return ([re[..., k, k] for k in range(h.shape[-1])]
+            + [w for k, m in zip(i, j) for w in (re[..., k, m], -im[..., k, m])])
+
+
 def _energy_and_norms(traj):
     """Re <psi(t)|H(t)|psi(t)> and <psi(t)|psi(t)> on the grid edges, over
-    evolve's chunks, the last taking the final edge: from a family's terms
-    as real combinations of |psi_i|^2 and of Re, Im of 2 conj(psi_i) psi_j
-    per pair i < j (doubled there, not the coefficients, which may be the
-    largest float) with the sampler's weights, else from H's samples."""
+    evolve's chunks, the last taking the final edge, as real combinations
+    of the features |psi_i|^2 and Re, Im of 2 conj(psi_i) psi_j per pair
+    i < j (doubled there, not the coefficients, which may be the largest
+    float), in one loop over weighted forms: a built family's terms'
+    forms with the sampler's weights 1, cos, sin, else one identity form
+    per feature weighted by H's coefficient on it at each edge. A plain
+    sampler's edge stack is refused as a whole with HermiticityError
+    before the first chunk, then resampled chunk by chunk."""
     psi, family, steps = _state_path(traj), traj.family, traj.steps
-    terms = family.terms
-    i, j = np.triu_indices(family.dim, 1)
-    if terms is not None:
-        forms = [np.r_[c.real.diagonal(), np.ravel((c.real[i, j], -c.imag[i, j]), "F")]
-                 for c in terms[0]]
+    terms, n = family.terms, family.dim
+    i, j = np.triu_indices(n, 1)
+    if terms is None:
+        if not family.hermitian:
+            _hermitian_samples(family, traj.times)
+        forms = np.eye(n * n)
+    else:
+        forms = [np.array(_form(c, i, j)) for c in terms[0]]
     e, norms = np.zeros(steps + 1), np.empty(steps + 1)
     for a, b in _chunks(steps):
         b += b == steps  # the last chunk takes the final edge
-        p = psi[a:b]
+        ts = traj.times[a:b]
         if terms is None:
-            p = p[..., None]
-            hpsi = _kernels._matmul(family.sample(traj.times[a:b]), p)
-            e[a:b] = _kernels._gram(p, hpsi)[:, 0, 0].real
-            norms[a:b] = _kernels._gram(p, p)[:, 0, 0].real
-            continue
-        ws = (1.0,) + _weights(terms, traj.times[a:b], family.label)
+            ws = _form(family.sample(ts), i, j)
+        else:
+            ws = (1.0,) + _weights(terms, ts, family.label)
+        p = psi[a:b]
         re, im = p.real, p.imag
         feats = list((re * re + im * im).T)
         for k, m in zip(i, j):
@@ -190,7 +207,7 @@ def _energy_and_norms(traj):
         for w, form in zip(ws, forms):
             for f in np.flatnonzero(form):
                 e[a:b] += feats[f] * (form[f] * w)
-        norms[a:b] = sum(feats[1:family.dim], feats[0])
+        norms[a:b] = sum(feats[1:n], feats[0])
     return e, norms
 
 
@@ -211,7 +228,8 @@ def aa_phase(traj):
     come back. The dynamic part is minus the trapezoid integral of
     Re <psi|H|psi> / <psi|psi> over the grid edges, so a norm drift of the
     propagator does not leak into it; the energies and the norm drift
-    come from one pass over the states.
+    come from one pass over the states. A dynamic phase that overflows
+    the largest float raises GeomPhaseError.
     """
     defect = cyclic_defect(traj)
     if not defect <= CYCLIC_TOL:
@@ -221,8 +239,14 @@ def aa_phase(traj):
             defect,
         )
     total = float(np.angle(np.vdot(traj.states[0], traj.states[-1])))
-    e, norms = _energy_and_norms(traj)
-    dyn = float(-np.trapezoid(e / norms, traj.times))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        e, norms = _energy_and_norms(traj)
+        dyn = float(-np.trapezoid(e / norms, traj.times))
+    if not math.isfinite(dyn):
+        raise GeomPhaseError(
+            f"dynamic phase of family {traj.family.label!r} is not finite: "
+            f"the energies or their integral overflow"
+        )
     geo = float(mod_2pi(total - dyn))
     drift = float(np.max(np.abs(norms - 1.0)))
     return PhaseReport(total, dyn, geo, defect, traj.steps, drift)

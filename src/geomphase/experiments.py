@@ -183,12 +183,12 @@ def run_ring_rotating(n=(0, 1, 2), eps=(0.5, 0.3), chi=(math.pi / 3, math.pi / 6
               "spread_tol": spread_tol, "adiabatic": adiabatic}
     for e, c in zip(eps, chi):
         key = f"eps={_fmt(e)}/chi={_fmt(c)}"
-        gammas = []
         blocks = [RotatingRingBlock(n=nn, omega=omega, eps=e, chi=c, omega_o=omega_o)
                   for nn in n]
-        for nn, m in zip(n, blocks):
-            rep = holonomy_report(_frame_path(m, steps), estimate_convergence=False)
-            gammas.append(rep["gamma"])
+        reps = [holonomy_report(_frame_path(m, steps), estimate_convergence=False)
+                for m in blocks]
+        gammas = [rep["gamma"] for rep in reps]
+        for nn, m, rep in zip(n, blocks, reps):
             want = {"gamma": m.gamma_ref, "wilson": np.eye(2),
                     "gamma_eigenvalues": np.array([0.0, TWO_PI])}
             for name, ref in want.items():
@@ -198,7 +198,7 @@ def run_ring_rotating(n=(0, 1, 2), eps=(0.5, 0.3), chi=(math.pi / 3, math.pi / 6
             spread = max(spread, float(np.max(np.abs(g - gammas[0]))))
         ledger.require(spread <= spread_tol)
         results[key] = {"gamma": gammas[0],
-                        "gamma_eigenvalues": np.linalg.eigvalsh(gammas[0]),
+                        "gamma_eigenvalues": reps[0]["gamma_eigenvalues"],
                         "block_spread": spread}
         references[key] = {"gamma": blocks[0].gamma_ref, **blocks[0].references}
     if adiabatic:

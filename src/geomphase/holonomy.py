@@ -197,9 +197,10 @@ def connection_samples(path):
 
 
 def phase_matrix(path):
-    """Summed connection samples of the loop, a Hermitian (K, K) matrix."""
-    g = np.sum(connection_samples(path), axis=0)
-    return 0.5 * (g + g.conj().T)
+    """Summed connection samples of the loop, a (K, K) matrix that is
+    Hermitian bit for bit: each sample is, and the sum adds entries
+    (i, j) and (j, i) in the same order."""
+    return np.sum(connection_samples(path), axis=0)
 
 
 def wilson_loop(path):

@@ -64,12 +64,13 @@ def invariance_residual(hamiltonian, invariant, times=None, n_times=100):
 def eigenvalue_drift(invariant, times=None, n_times=100):
     """max over times and levels of |lambda_j(t) - lambda_j(0)|.
 
-    A non-finite time raises ValueError, and a plain sampler's sample
-    that is not Hermitian, NaN included, HermiticityError.
+    The levels come from _eigenspaces; a split group is not refused
+    here. A non-finite time raises ValueError, and a plain sampler's
+    sample that is not Hermitian, NaN included, HermiticityError.
     """
     if times is None:
         times = _default_times(invariant, n_times)
-    ws, _vs = _kernels.eigh_batch(_hermitian_samples(invariant, times))
+    ws = _eigenspaces(invariant, times)[0]
     return float(np.max(np.abs(ws - ws[0])))
 
 

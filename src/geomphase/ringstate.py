@@ -68,21 +68,28 @@ class BlockEvolution:
         return out
 
 
+def _window(models, state):
+    """The occupied blocks in ascending order and the run's duration, the
+    period of the lowest; a block with no model is refused."""
+    order = sorted(state.occupied)
+    missing = [n for n in order if n not in models]
+    if missing:
+        raise ValueError(f"no model supplied for blocks {missing}")
+    return order, float(models[order[0]].hamiltonian.period)
+
+
 def blockwise_evolve(models, state, steps=4096):
     """Evolve each occupied block under its own Hamiltonian over the
     period of the lowest occupied block; blocks with other periods are
     simply run over the same window.
     """
-    missing = [n for n in state.occupied if n not in models]
-    if missing:
-        raise ValueError(f"no model supplied for blocks {missing}")
-    duration = models[min(state.occupied)].hamiltonian.period
+    order, duration = _window(models, state)
     trajs = {}
-    for n in state.occupied:
+    for n in order:
         amp = state.blocks[n]
         unit = amp / np.linalg.norm(amp)
         trajs[n] = evolve(models[n].hamiltonian, unit, steps=steps, duration=duration)
-    return BlockEvolution(float(duration), state.weights(), trajs)
+    return BlockEvolution(duration, state.weights(), trajs)
 
 
 def assembled_evolve(models, state, steps=4096):
@@ -93,11 +100,8 @@ def assembled_evolve(models, state, steps=4096):
     largest excursion of any block weight from its initial value over the
     whole run, and the per-block endpoint phases.
     """
-    order = sorted(state.occupied)
-    duration = models[order[0]].hamiltonian.period
-    family = assemble_blocks(
-        [models[n].hamiltonian for n in order], period=float(duration)
-    )
+    order, duration = _window(models, state)
+    family = assemble_blocks([models[n].hamiltonian for n in order], period=duration)
     traj = evolve(family, state.as_vector(order), steps=steps, duration=duration)
     offs = np.arange(0, 2 * len(order) + 1, 2)
     drift = 0.0

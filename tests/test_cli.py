@@ -121,6 +121,20 @@ def test_bad_value_types_refused_in_build_kwargs(tmp_path):
     assert build_kwargs("spin", load_config(str(cfg)), {})["theta"] == (0, 1)
 
 
+@pytest.mark.parametrize("value", ["ture", "2", "0", "1.0"])
+def test_boolean_option_refuses_a_non_boolean(value, tmp_path, capsys):
+    # a misspelt boolean stays a truthy string and a number is truthy
+    # too: either once switched on the long adiabatic runs
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text(f"[ring-rotating]\nadiabatic = {value}\n")
+    with pytest.raises(ConfigError, match="type of its default"):
+        build_kwargs("ring-rotating", load_config(str(cfg)), {})
+    assert main(["run", "ring-rotating", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: adiabatic = ")
+    cfg.write_text("[ring-rotating]\nadiabatic = off\n")
+    assert build_kwargs("ring-rotating", load_config(str(cfg)), {}) == {"adiabatic": False}
+
+
 def test_numerical_obstruction_still_exits_1(tmp_path):
     # a GeomPhaseError from a run is not a bad invocation: it propagates,
     # and the process exits 1

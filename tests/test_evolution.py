@@ -8,18 +8,21 @@ co-rotating frame, which pins the time-dependent path as well.
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from geomphase import (
+    GeomPhaseError,
     HermiticityError,
     NonCyclicError,
     OperatorFamily,
     RotatingRingBlock,
     SpinHalf,
     StaticRingBlock,
+    Trajectory,
     aa_phase,
     assemble_blocks,
     circular_distance,
@@ -415,7 +418,8 @@ def test_chunked_energies_match_one_pass(steps, monkeypatch):
 def test_aa_phase_does_not_sample_a_built_family(steps):
     # a built family's energies come from its terms: aa_phase makes no
     # sampler call, while a plain sampler over the same function makes
-    # one per chunk, and the phases agree to rounding
+    # one for the check of its whole edge stack and one per chunk, and
+    # the phases agree to rounding
     b = _slow_pair()
     fam = b.hamiltonian
     sampler, calls = fam._sampler, []
@@ -431,7 +435,7 @@ def test_aa_phase_does_not_sample_a_built_family(steps):
     plain = dataclasses.replace(traj, family=_sampled(fam))
     calls.clear()  # the construction's check of H(0) against H(T)
     want = aa_phase(plain)
-    assert len(calls) == len(evolution._chunks(steps))
+    assert len(calls) == len(evolution._chunks(steps)) + 1
     assert abs(got.dynamic - want.dynamic) <= 1e-12 and got.total == want.total
 
 
@@ -519,6 +523,42 @@ def test_spoiled_last_chunk_refused_with_whole_stack_message(spoil):
         evolve(fam, np.eye(2), steps=steps)
     assert str(chunked.value) == str(whole.value)
     assert "sample stack is not Hermitian" in str(chunked.value)
+
+
+@pytest.mark.parametrize("spoil", [_plant_nan, _skew_lower_corner(1e-3)],
+                         ids=["nan", "defect-1e-3"])
+def test_aa_phase_refuses_a_spoiled_edge_sample(spoil):
+    # t = T/2 is a grid edge of an even step count and no midpoint, so
+    # evolve never samples it; aa_phase's energies do, and the edge stack
+    # is refused as a whole, where a NaN there once gave a NaN split and
+    # the skew shifted the split by 4e-5
+    m = SpinHalf()
+    steps = 64
+    half = np.linspace(0.0, m.period, steps + 1)[steps // 2]
+    clean = m.hamiltonian
+
+    def many(ts):
+        hs = clean.sample(ts)
+        spoil(hs, ts == half)
+        return hs
+
+    fam = OperatorFamily(2, clean.period, many, label="spoiled spin")
+    traj = evolve(fam, m.state("+"), steps=steps)
+    assert half in traj.times
+    with pytest.raises(HermiticityError, match="sample stack is not Hermitian"):
+        aa_phase(traj)
+
+
+def test_aa_phase_refuses_an_overflowed_dynamic_phase():
+    # energies of 1e308 at every edge: the trapezoid's sums of neighbours
+    # overflow, once returned as dynamic = -inf and geometric = nan
+    fam = constant_family(1e308 * SIGMA_Z, 1.0)
+    state = np.array([1.0, 0.0], dtype=complex)
+    traj = Trajectory(fam, np.linspace(0.0, 1.0, 33), np.tile(state, (33, 1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GeomPhaseError, match="dynamic phase .* is not finite"):
+            aa_phase(traj)
 
 
 def test_hermiticity_tolerance_scales_with_whole_run():

@@ -153,6 +153,30 @@ def test_phase_matrix_consistent_with_wilson():
     assert np.max(np.abs(w - np.eye(2))) < 1e-10
 
 
+def k_plane_path(rng, nvec, steps=256):
+    # a K-plane of C^(K+2) carried once around by exp(-i t G), G with an
+    # integer spectrum so the loop closes, in a random closed U(K) gauge
+    n = nvec + 2
+    v = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    f0 = np.linalg.qr(rng.normal(size=(n, nvec)) + 1j * rng.normal(size=(n, nvec)))[0]
+    t = np.linspace(0.0, TWO_PI, steps + 1)
+    rot = (v * np.exp(-1j * t[:, None, None] * np.arange(float(n)))) @ v.conj().T
+    path = sample_frames(rot @ f0, steps=steps, period=TWO_PI)
+    return gauge_transform(path, random_unitary_gauge(rng, steps + 1, nvec, amplitude=0.8))
+
+
+@pytest.mark.parametrize("nvec", [2, 3], ids=["closed-form-log", "eigensolve-log"])
+def test_phase_matrix_is_the_exactly_hermitian_sum(nvec, rng):
+    # every connection sample is Hermitian bit for bit, so their sum is
+    # too: the phase matrix is that sum with no symmetrizing pass
+    path = k_plane_path(rng, nvec)
+    samples = connection_samples(path)
+    assert np.array_equal(samples, samples.conj().transpose(0, 2, 1))
+    g = phase_matrix(path)
+    assert np.array_equal(g, np.sum(samples, axis=0))
+    assert np.array_equal(g, g.conj().T)
+
+
 def test_rotating_gamma_eigenvalues():
     for eps, chi in [(0.5, math.pi / 3), (0.3, math.pi / 6)]:
         path, _ = rotating_path(eps=eps, chi=chi, steps=2048)

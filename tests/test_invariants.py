@@ -25,6 +25,7 @@ from geomphase import (
     transport_error,
     trig_family,
 )
+from geomphase.invariants import _eigenspaces
 from geomphase.models import SIGMA_X, SIGMA_Z
 
 ALL_PAIRS = [
@@ -72,6 +73,29 @@ def test_eigenvalue_drift_oracle():
                         np.zeros((2, 2), dtype=complex), 1.0)
     times = np.linspace(0.0, 2 * math.pi, 201)  # hits the t=pi extremum
     assert abs(eigenvalue_drift(swing, times=times) - 1.0) < 1e-12
+
+
+def _diag_family(c0, c1, c2):
+    return trig_family(np.diag(c0).astype(complex), np.diag(c1).astype(complex),
+                       np.diag(c2).astype(complex), 1.0)
+
+
+def _plain(family):
+    # the same samples from a plain sampler, checked where they are used
+    return OperatorFamily(family.dim, family.period, family.sample)
+
+
+@pytest.mark.parametrize("family", [
+    SpinHalf().invariant,
+    StaticRingBlock(n=2).invariant,
+    _plain(StaticRingBlock(n=1).invariant),
+    # a group that splits at the first step is not refused here
+    _diag_family([0, 0, 15], [0, 0, -5], [0, 1, 0]),
+], ids=["spin", "static-ring", "plain-sampler", "split-group"])
+def test_eigenvalue_drift_reads_the_eigenspace_route(family):
+    times = np.linspace(0.0, family.period, 101)
+    ws = _eigenspaces(family, times)[0]
+    assert eigenvalue_drift(family, times=times) == float(np.max(np.abs(ws - ws[0])))
 
 
 def _spoiled_sigma_x(bad):
@@ -169,11 +193,6 @@ def test_transport_error_matches_per_sample_loop(n):
     got = transport_error(m.hamiltonian, m.invariant, steps=512)
     want = _transport_error_loop(m.hamiltonian, m.invariant, steps=512)
     assert abs(got - want) <= 1e-14
-
-
-def _diag_family(c0, c1, c2):
-    return trig_family(np.diag(c0).astype(complex), np.diag(c1).astype(complex),
-                       np.diag(c2).astype(complex), 1.0)
 
 
 @pytest.mark.parametrize("inv,first", [

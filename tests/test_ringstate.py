@@ -74,6 +74,18 @@ def test_blockwise_requires_models():
         blockwise_evolve({0: models[0]}, state)
 
 
+def test_missing_block_model_refused_alike_by_either_route():
+    # both routes take the occupied blocks and their window from one
+    # place; the assembled route once raised a bare KeyError: 0
+    models, state = two_block_setup()
+    messages = []
+    for route in (blockwise_evolve, assembled_evolve):
+        with pytest.raises(ValueError) as exc:
+            route({1: models[1]}, state, steps=64)
+        messages.append(str(exc.value))
+    assert messages == ["no model supplied for blocks [0]"] * 2
+
+
 def test_blockwise_phases_match_single_runs():
     models, state = two_block_setup()
     ev = blockwise_evolve(models, state, steps=1024)
