@@ -26,8 +26,7 @@ from .models import (
     RotatingRingBlock,
     SpinHalf,
     StaticRingBlock,
-    _ring_mixing,
-    _ring_rates,
+    ring_parameters,
 )
 from .ringstate import RingState, assembled_evolve, blockwise_evolve
 
@@ -45,10 +44,14 @@ def _fmt(x):
 
 
 class _Ledger:
-    """The deviations of one experiment, each checked against its own
-    tolerance where it is recorded; converged means every check passed."""
+    """The report of one experiment: its name, the inputs it ran with,
+    and its deviations, each checked against its own tolerance where it
+    is recorded; converged means every check passed."""
 
-    def __init__(self):
+    def __init__(self, experiment, inputs):
+        self.experiment = experiment
+        # a copy: a later locals() call or a tracer refreshes a frame's dict
+        self.inputs = dict(inputs)
         self.deviations = {}
         self.passed = True
 
@@ -64,10 +67,25 @@ class _Ledger:
         """A check judged on the results side: a spread, a gain."""
         self.passed = self.passed and bool(passed)
 
-    def report(self, experiment, inputs, results, references):
-        return {"experiment": experiment, "inputs": inputs, "results": results,
-                "references": references, "deviations": self.deviations,
-                "converged": self.passed}
+    def report(self, results, references):
+        return {"experiment": self.experiment, "inputs": self.inputs,
+                "results": results, "references": references,
+                "deviations": self.deviations, "converged": self.passed}
+
+
+def _sweep(least=1, **named):
+    """The runs an experiment makes of its sequence inputs: the entries
+    of one sequence, or the tuples of paired sequences taken in step.
+    Refused with ValueError: paired sequences of unequal length, which
+    would drop entries, and fewer than least entries, which would check
+    nothing, or no gain between points where least is 2."""
+    lengths = [len(seq) for seq in named.values()]
+    names = " and ".join(named)
+    if len(set(lengths)) > 1:
+        raise ValueError(f"{names} must have equal lengths, got {lengths}")
+    if lengths[0] < least:
+        raise ValueError(f"{names} must have length at least {least}, got {lengths[0]}")
+    return list(zip(*named.values())) if len(named) > 1 else list(*named.values())
 
 
 def run_spin(theta=(0.0, math.pi / 6, math.pi / 4, math.pi / 3), omega_s=1.0,
@@ -75,12 +93,10 @@ def run_spin(theta=(0.0, math.pi / 6, math.pi / 4, math.pi / 3), omega_s=1.0,
     """Berry phases of the spin cone frames plus the cyclic-evolution
     phase split, against pi*(1 +- cos(2*theta)) and friends. Each split
     carries its cyclic defect and its norm drift (see PhaseReport)."""
-    ledger = _Ledger()
+    ledger = _Ledger("spin", locals())
     results, references = {}, {}
-    formulas = None
-    for th in theta:
+    for th in _sweep(theta=theta):
         m = SpinHalf(theta=th, omega_s=omega_s)
-        formulas = m.formulas
         refs = m.references
         key = f"theta={_fmt(th)}"
         r = {}
@@ -106,10 +122,7 @@ def run_spin(theta=(0.0, math.pi / 6, math.pi / 4, math.pi / 3), omega_s=1.0,
                          circular_distance(rep.geometric, refs[f"berry_{name}"]), aa_tol)
         results[key] = r
         references[key] = dict(refs)
-    inputs = {"theta": list(theta), "omega_s": omega_s, "steps": steps,
-              "tol": tol, "aa_tol": aa_tol}
-    return ledger.report("spin", inputs, results,
-                         {"formulas": formulas, "values": references})
+    return ledger.report(results, {"formulas": SpinHalf.formulas, "values": references})
 
 
 def run_ring_static(n=(0, 1, 2), cone=(math.pi / 6, math.pi / 3), omega=1.0,
@@ -117,13 +130,12 @@ def run_ring_static(n=(0, 1, 2), cone=(math.pi / 6, math.pi / 3), omega=1.0,
     """Static ring blocks: cone-frame Berry phases by the overlap chain
     and by the cyclic phase split, for several blocks and cone angles.
     Each split carries its norm drift (see PhaseReport)."""
-    ledger = _Ledger()
+    ledger = _Ledger("ring-static", locals())
     results, references = {}, {}
-    formulas = None
-    for nn in n:
-        for cn in cone:
+    ns, cones = _sweep(n=n), _sweep(cone=cone)
+    for nn in ns:
+        for cn in cones:
             m = StaticRingBlock(n=nn, cone=cn, omega=omega, eps=eps, chi=chi)
-            formulas = m.formulas
             key = f"n={nn}/cone={_fmt(cn)}"
             r = {}
             for name, col, br in (("plus", 0, "+"), ("minus", 1, "-")):
@@ -138,10 +150,8 @@ def run_ring_static(n=(0, 1, 2), cone=(math.pi / 6, math.pi / 3), omega=1.0,
                              circular_distance(rep.geometric, ref), tol)
             results[key] = r
             references[key] = dict(m.references)
-    inputs = {"n": list(n), "cone": list(cone), "omega": omega, "eps": eps,
-              "chi": chi, "steps": steps, "tol": tol}
-    return ledger.report("ring-static", inputs, results,
-                         {"formulas": formulas, "values": references})
+    return ledger.report(results, {"formulas": StaticRingBlock.formulas,
+                                   "values": references})
 
 
 def adiabatic_tracking(n=0, omega=1.0, eps=0.5, chi=math.pi / 3, ratio=1e-2,
@@ -152,7 +162,7 @@ def adiabatic_tracking(n=0, omega=1.0, eps=0.5, chi=math.pi / 3, ratio=1e-2,
     linearly with it. norm_drift is the run's propagation health (see
     PhaseReport)."""
     # the block's splitting rate omega_ns, without building the block twice
-    omega_ns = _ring_rates(int(n), float(omega), _ring_mixing(eps, chi)[2])[1]
+    omega_ns = ring_parameters(n, eps, chi, omega)["omega_ns"]
     m = RotatingRingBlock(n=n, omega=omega, eps=eps, chi=chi, omega_o=ratio * omega_ns)
     traj = evolve(m.hamiltonian, m.state(branch), steps=steps)
     rep = aa_phase(traj)
@@ -176,19 +186,19 @@ def run_ring_rotating(n=(0, 1, 2), eps=(0.5, 0.3), chi=(math.pi / 3, math.pi / 6
     """Degenerate-pair holonomy of the rotating ring: the phase matrix,
     its fixed eigenvalues {0, 2*pi}, the trivial loop unitary, and the
     block independence of all of it. Optionally the slow-rotation limit."""
-    ledger = _Ledger()
+    ledger = _Ledger("ring-rotating", locals())
     results, references = {}, {}
-    inputs = {"n": list(n), "eps": list(eps), "chi": list(chi), "omega": omega,
-              "omega_o": omega_o, "steps": steps, "tol": tol,
-              "spread_tol": spread_tol, "adiabatic": adiabatic}
-    for e, c in zip(eps, chi):
+    ns, pairs = _sweep(n=n), _sweep(eps=eps, chi=chi)
+    tracks = (_sweep(least=2, ratios=ratios, adiabatic_steps=adiabatic_steps)
+              if adiabatic else [])
+    for e, c in pairs:
         key = f"eps={_fmt(e)}/chi={_fmt(c)}"
         blocks = [RotatingRingBlock(n=nn, omega=omega, eps=e, chi=c, omega_o=omega_o)
-                  for nn in n]
+                  for nn in ns]
         reps = [holonomy_report(_frame_path(m, steps), estimate_convergence=False)
                 for m in blocks]
         gammas = [rep["gamma"] for rep in reps]
-        for nn, m, rep in zip(n, blocks, reps):
+        for nn, m, rep in zip(ns, blocks, reps):
             want = {"gamma": m.gamma_ref, "wilson": np.eye(2),
                     "gamma_eigenvalues": np.array([0.0, TWO_PI])}
             for name, ref in want.items():
@@ -205,9 +215,9 @@ def run_ring_rotating(n=(0, 1, 2), eps=(0.5, 0.3), chi=(math.pi / 3, math.pi / 6
         runs = {}
         for branch in ("+", "-"):
             track = [
-                adiabatic_tracking(n=n[0], omega=omega, eps=eps[0], chi=chi[0],
+                adiabatic_tracking(n=ns[0], omega=omega, eps=pairs[0][0], chi=pairs[0][1],
                                    ratio=rt, steps=st, branch=branch)
-                for rt, st in zip(ratios, adiabatic_steps)
+                for rt, st in tracks
             ]
             gains = [
                 track[i]["deviation"] / max(track[i + 1]["deviation"], 1e-300)
@@ -216,9 +226,7 @@ def run_ring_rotating(n=(0, 1, 2), eps=(0.5, 0.3), chi=(math.pi / 3, math.pi / 6
             runs[branch] = {"runs": track, "gains": gains}
             ledger.require(all(g >= min_gain for g in gains))
         results["adiabatic"] = runs
-        inputs.update(ratios=list(ratios), adiabatic_steps=list(adiabatic_steps),
-                      min_gain=min_gain)
-    return ledger.report("ring-rotating", inputs, results, references)
+    return ledger.report(results, references)
 
 
 # each branch's torus phase is the same at every n up to rounding; a fixed
@@ -231,13 +239,11 @@ def run_ring_action(n=(0, 1, 2), eps=0.5, chi=math.pi / 3, n_phi=64,
     """Torus transport of the action eigenfunctions: loop phases against
     pi*(1 -+ cos(2*mix)), per-interval connection samples against the
     constant density, and agreement with the bare band-frame loop."""
-    ledger = _Ledger()
+    ledger = _Ledger("ring-action", locals())
     results, references = {}, {}
-    formulas = None
     phases = {"+": [], "-": []}
-    for nn in n:
+    for nn in _sweep(n=n):
         m = ActionRingBlock(n=nn, eps=eps, chi=chi, n_phi=n_phi)
-        formulas = m.formulas
         key = f"n={nn}"
         r = {}
         delta = TWO_PI / steps
@@ -261,16 +267,11 @@ def run_ring_action(n=(0, 1, 2), eps=0.5, chi=math.pi / 3, n_phi=64,
                          circular_distance(ph, bare), equiv_tol)
         results[key] = r
         references[key] = dict(m.references)
-    spread = max(
-        max(abs(p - ps[0]) for p in ps) if len(ps) > 1 else 0.0
-        for ps in phases.values()
-    )
+    spread = max(abs(p - ps[0]) for ps in phases.values() for p in ps)
     results["block_spread"] = spread
     ledger.require(spread <= _ACTION_SPREAD_TOL)
-    inputs = {"n": list(n), "eps": eps, "chi": chi, "n_phi": n_phi, "steps": steps,
-              "tol": tol, "conn_tol": conn_tol, "equiv_tol": equiv_tol}
-    return ledger.report("ring-action", inputs, results,
-                         {"formulas": formulas, "values": references})
+    return ledger.report(results, {"formulas": ActionRingBlock.formulas,
+                                   "values": references})
 
 
 def run_direct_sum(blocks=(0, 1), cone=math.pi / 6, omega=1.0, eps=0.5,
@@ -278,6 +279,8 @@ def run_direct_sum(blocks=(0, 1), cone=math.pi / 6, omega=1.0, eps=0.5,
     """Equal-weight superposition over two static blocks, evolved as the
     assembled system: block weights must stay put and each block must
     accumulate exactly its single-block phase."""
+    ledger = _Ledger("direct-sum", locals())
+    blocks = _sweep(blocks=blocks)
     models = {
         b: StaticRingBlock(n=b, cone=cone, omega=omega, eps=eps, chi=chi)
         for b in blocks
@@ -287,17 +290,13 @@ def run_direct_sum(blocks=(0, 1), cone=math.pi / 6, omega=1.0, eps=0.5,
     single = blockwise_evolve(models, state, steps=steps)
     _traj, drift, phases = assembled_evolve(models, state, steps=steps)
     ref_phases = single.phases()
-    ledger = _Ledger()
     ledger.check(None, "weight_drift", drift, weight_tol)
     for b in blocks:
         ledger.check(None, f"phase_n={b}",
                      circular_distance(phases[b], ref_phases[b]), phase_tol)
-    inputs = {"blocks": list(blocks), "cone": cone, "omega": omega, "eps": eps,
-              "chi": chi, "steps": steps, "weight_tol": weight_tol, "phase_tol": phase_tol}
     results = {"weights": single.weights, "assembled_phases": phases,
                "single_block_phases": ref_phases}
-    return ledger.report("direct-sum", inputs, results,
-                         {"weights": {b: amp * amp for b in blocks}})
+    return ledger.report(results, {"weights": {b: amp * amp for b in blocks}})
 
 
 def _sweep_paths(steps):
@@ -321,14 +320,15 @@ def run_gauge_sweep(gauges=10, seed=20260814, steps=2048, amplitude=0.6, modes=3
                     shift_tol=1e-8, min_change=1e-3):
     """Random smooth closed gauges on one representative loop per model:
     loop eigenphases must not move while the raw connection samples do."""
+    ledger = _Ledger("gauge-sweep", locals())
+    draws = _sweep(gauges=range(gauges))
     rng = np.random.default_rng(seed)
-    ledger = _Ledger()
     results = {}
     for name, path in _sweep_paths(steps).items():
         base_phases = unitary_eigenphases(wilson_loop(path))
         base_samples = connection_samples(path)
         shifts, changes = [], []
-        for _ in range(gauges):
+        for _ in draws:
             if path.nvec == 1:
                 g = random_phase_gauge(rng, path.times.size,
                                        winding=int(rng.integers(-1, 2)),
@@ -344,9 +344,7 @@ def run_gauge_sweep(gauges=10, seed=20260814, steps=2048, amplitude=0.6, modes=3
                          "loop_eigenphases": base_phases}
         ledger.check(name, "max_shift", max(shifts), shift_tol)
         ledger.require(min(changes) >= min_change)
-    inputs = {"gauges": gauges, "seed": seed, "steps": steps, "amplitude": amplitude,
-              "modes": modes, "shift_tol": shift_tol, "min_change": min_change}
-    return ledger.report("gauge-sweep", inputs, results, {"max_shift": 0.0})
+    return ledger.report(results, {"max_shift": 0.0})
 
 
 # steps -> deviation of the + branch's loop phase, or of its cyclic
@@ -396,10 +394,11 @@ def run_convergence(levels=(1024, 2048, 4096), min_gain=3.5, floor=1e-10):
     refinement if the deviation drops by min_gain, or if either side is
     already at the noise floor where gains are meaningless."""
     levels = sorted(int(v) for v in levels)
-    ledger = _Ledger()
+    ledger = _Ledger("convergence", locals())
+    runs = _sweep(least=2, levels=levels)
     results = {}
     for name, fn in _convergence_specs().items():
-        devs = [float(fn(lv)) for lv in levels]
+        devs = [float(fn(lv)) for lv in runs]
         ratios, passed = [], True
         for coarse, fine in zip(devs, devs[1:]):
             at_floor = fine <= floor or coarse <= floor
@@ -411,9 +410,7 @@ def run_convergence(levels=(1024, 2048, 4096), min_gain=3.5, floor=1e-10):
         # the gain per refinement
         ledger.check(name, "final", devs[-1], math.inf)
         ledger.require(passed)
-    inputs = {"levels": levels, "min_gain": min_gain, "floor": floor}
-    return ledger.report("convergence", inputs, results,
-                         {"min_gain": min_gain, "floor": floor})
+    return ledger.report(results, {"min_gain": min_gain, "floor": floor})
 
 
 EXPERIMENTS = {

@@ -10,6 +10,7 @@ built, and refuses a grid too coarse for them there; every quantity
 below reads that one stack.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -246,8 +247,9 @@ def gauge_transform(path, gauges):
     require_unitary(g, name="gauge path")
     enddef = float(np.max(np.abs(g[-1] - g[0])))
     if not enddef <= GAUGE_END_TOL:
-        raise ValueError(
-            f"gauge path must close, |g(T) - g(0)| = {enddef:.3e} > {GAUGE_END_TOL:.1e}"
+        raise NonCyclicError(
+            f"gauge path must close, |g(T) - g(0)| = {enddef:.3e} > {GAUGE_END_TOL:.1e}",
+            enddef,
         )
     new = _kernels._matmul(path.frames, g)
     new[-1] = new[0]
@@ -288,8 +290,10 @@ def random_unitary_gauge(rng, size, nvec, modes=3, amplitude=0.5):
     imaginary parts drawn uniform in [-1, 1]. The field is written entry
     by entry over i <= j from the (size,) rows, its lower triangle as the
     conjugate of the upper, so it is exactly Hermitian and goes straight
-    to the step exponential.
+    to the step exponential. modes must be a positive integer.
     """
+    if not (isinstance(modes, numbers.Integral) and modes >= 1):
+        raise ValueError(f"modes must be a positive integer, got {modes!r}")
     _, rows = _fourier_rows(size, modes)
     # per row, the real then the imaginary parts of h
     draws = rng.uniform(-1, 1, (2 * modes, 2, nvec, nvec))

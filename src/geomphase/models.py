@@ -11,6 +11,7 @@ the spin coupling mixes; block index n >= 0 labels the pair.
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -196,6 +197,14 @@ class SpinHalf:
     pi*(1 +- cos(2*theta)) per turn while the total phase stays pi.
     """
 
+    formulas = {
+        "berry_plus": "pi*(1 + cos(2*theta))",
+        "berry_minus": "pi*(1 - cos(2*theta))",
+        "dynamic_plus": "-pi*cos(2*theta)",
+        "dynamic_minus": "+pi*cos(2*theta)",
+        "total": "pi",
+    }
+
     def __init__(self, theta=math.pi / 6, omega_s=1.0):
         if omega_s <= 0.0:
             raise ValueError(f"field frequency must be positive, got {omega_s}")
@@ -216,13 +225,6 @@ class SpinHalf:
             "dynamic_minus": math.pi * c2,
             "total": math.pi,
         }
-        self.formulas = {
-            "berry_plus": "pi*(1 + cos(2*theta))",
-            "berry_minus": "pi*(1 - cos(2*theta))",
-            "dynamic_plus": "-pi*cos(2*theta)",
-            "dynamic_minus": "+pi*cos(2*theta)",
-            "total": "pi",
-        }
 
     def frame_batch(self, times):
         """Both cone eigenvectors at each time, shape times.shape + (2, 2)."""
@@ -239,11 +241,25 @@ def _branch_column(branch):
     raise ValueError(f"branch must be '+' or '-', got {branch!r}")
 
 
-def _ring_mixing(eps, chi):
-    # Bare gap g and coupling delta of one ring block; their quadrature s
-    # sets the band splitting. A vanishing s merges the bands and leaves
-    # the mixing angle undefined, which is a model error, not a numerical
-    # one.
+def ring_parameters(n, eps, chi, omega=None):
+    """The attributes every ring block shares, as a dict: n, eps, chi,
+    the bare gap g and coupling delta, their quadrature s (the band
+    splitting) and the mixing angle theta_mix; given omega, also omega,
+    kappa = omega (n + 1/2) and the splitting rate omega_ns = kappa s.
+    Refused by name with ValueError: an n that is not a non-negative
+    integer, a non-finite eps, chi or omega, an omega <= 0. A vanishing s
+    merges the bands, a model error: DegenerateMixingError."""
+    if not (isinstance(n, numbers.Integral) and n >= 0):
+        raise ValueError(f"n must be a non-negative integer, got {n!r}")
+    p = {"n": int(n), "eps": float(eps), "chi": float(chi)}
+    if omega is not None:
+        p["omega"] = float(omega)
+    for name, value in p.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if omega is not None and not p["omega"] > 0.0:
+        raise ValueError(f"omega must be positive, got {omega}")
+    eps, chi = p["eps"], p["chi"]
     delta = eps * math.cos(chi)
     g = 1.0 - eps * math.sin(chi)
     s_sq = delta * delta + g * g
@@ -253,15 +269,11 @@ def _ring_mixing(eps, chi):
             "the two bands merge and the mixing angle is undefined"
         )
     s = math.sqrt(s_sq)
-    theta_mix = 0.5 * math.atan2(-delta, -g)
-    return delta, g, s, theta_mix
-
-
-def _ring_rates(n, omega, s):
-    # kappa = omega (n + 1/2) of ring block n and its band splitting rate
-    # omega_ns = kappa s, s from _ring_mixing
-    kappa = omega * (n + 0.5)
-    return kappa, kappa * s
+    p.update(delta=delta, g=g, s=s, theta_mix=0.5 * math.atan2(-delta, -g))
+    if omega is not None:
+        kappa = p["omega"] * (p["n"] + 0.5)
+        p.update(kappa=kappa, omega_ns=kappa * s)
+    return p
 
 
 def _band_frame(block, theta):
@@ -295,16 +307,16 @@ class StaticRingBlock:
     keep disjoint spectra {4n - 1, 4n + 1}.
     """
 
+    formulas = {
+        "berry_plus": "pi*(1 + cos(2*cone))",
+        "berry_minus": "pi*(1 - cos(2*cone))",
+        "e_plus": "omega*((n + 1/2) + s/2)**2",
+        "e_minus": "omega*((n + 1/2) - s/2)**2",
+    }
+
     def __init__(self, n=0, cone=math.pi / 6, omega=1.0, eps=0.5, chi=math.pi / 3):
-        if n < 0 or omega <= 0.0:
-            raise ValueError(f"need n >= 0 and omega > 0, got n={n}, omega={omega}")
-        self.n = int(n)
+        vars(self).update(ring_parameters(n, eps, chi, omega))
         self.cone = float(cone)
-        self.omega = float(omega)
-        self.eps = float(eps)
-        self.chi = float(chi)
-        self.delta, self.g, self.s, self.theta_mix = _ring_mixing(eps, chi)
-        self.kappa, self.omega_ns = _ring_rates(self.n, self.omega, self.s)
         half = self.n + 0.5
         self.splitting = 2.0 * self.omega_ns
         self.period = math.pi / self.omega_ns
@@ -313,7 +325,7 @@ class StaticRingBlock:
 
         ell = half * ID2 - 0.5 * coupling_matrix(self.delta, self.g)
         self.hamiltonian = constant_family(
-            self.omega * (ell @ ell), self.period, label=f"static ring block n={n}"
+            self.omega * (ell @ ell), self.period, label=f"static ring block n={self.n}"
         )
 
         # Band basis: columns are the upper and lower band vectors. Real
@@ -330,7 +342,7 @@ class StaticRingBlock:
             s2 * sx,
             s2 * sy,
             self.splitting,
-            label=f"static ring cone n={n}",
+            label=f"static ring cone n={self.n}",
         )
         self.references = {
             "berry_plus": math.pi * (1.0 + c2),
@@ -339,12 +351,6 @@ class StaticRingBlock:
             "e_minus": self.e_minus,
             "splitting": self.splitting,
             "invariant_levels": (4.0 * self.n + 1.0, 4.0 * self.n - 1.0),
-        }
-        self.formulas = {
-            "berry_plus": "pi*(1 + cos(2*cone))",
-            "berry_minus": "pi*(1 - cos(2*cone))",
-            "e_plus": "omega*((n + 1/2) + s/2)**2",
-            "e_minus": "omega*((n + 1/2) - s/2)**2",
         }
 
     def frame_batch(self, times):
@@ -364,18 +370,17 @@ class RotatingRingBlock:
     though the phase matrix itself is not zero.
     """
 
+    formulas = {
+        "gamma_eigenvalues": "(0, 2*pi)",
+        "adiabatic_plus": "pi*(1 - cos(2*mix))",
+        "adiabatic_minus": "pi*(1 + cos(2*mix))",
+    }
+
     def __init__(self, n=0, omega=1.0, eps=0.5, chi=math.pi / 3, omega_o=1.0):
-        if n < 0 or omega <= 0.0:
-            raise ValueError(f"need n >= 0 and omega > 0, got n={n}, omega={omega}")
+        vars(self).update(ring_parameters(n, eps, chi, omega))
         if omega_o == 0.0:
             raise ValueError("rotation frequency must be nonzero; use StaticRingBlock instead")
-        self.n = int(n)
-        self.omega = float(omega)
-        self.eps = float(eps)
-        self.chi = float(chi)
         self.omega_o = float(omega_o)
-        self.delta, self.g, self.s, self.theta_mix = _ring_mixing(eps, chi)
-        self.kappa, self.omega_ns = _ring_rates(self.n, self.omega, self.s)
         half = self.n + 0.5
         self.c0 = self.omega * (half * half + 0.25 * self.s * self.s)
         self.period = TWO_PI / abs(self.omega_o)
@@ -387,10 +392,10 @@ class RotatingRingBlock:
             -self.kappa * self.delta * SIGMA_X,
             self.kappa * self.delta * SIGMA_Y,
             self.omega_o,
-            label=f"rotating ring block n={n}",
+            label=f"rotating ring block n={self.n}",
         )
         self.invariant = constant_family(
-            half * ID2, self.period, label=f"ring angular momentum n={n}"
+            half * ID2, self.period, label=f"ring angular momentum n={self.n}"
         )
 
         cm, sm = math.cos(self.theta_mix), math.sin(self.theta_mix)
@@ -404,11 +409,6 @@ class RotatingRingBlock:
             "adiabatic_minus": math.pi * (1.0 + c2),
             "e_plus": self.e_plus,
             "e_minus": self.e_minus,
-        }
-        self.formulas = {
-            "gamma_eigenvalues": "(0, 2*pi)",
-            "adiabatic_plus": "pi*(1 - cos(2*mix))",
-            "adiabatic_minus": "pi*(1 + cos(2*mix))",
         }
 
     band_frame = _band_frame
@@ -429,14 +429,17 @@ class ActionRingBlock:
     direction gives phases pi*(1 -+ cos(2*mix)), upper branch first.
     """
 
+    formulas = {
+        "torus_plus": "pi*(1 - cos(2*mix))",
+        "torus_minus": "pi*(1 + cos(2*mix))",
+        "action_levels": "(n + (1 + s)/2, n + (1 - s)/2)",
+    }
+
     def __init__(self, n=0, eps=0.5, chi=math.pi / 3, n_phi=64):
-        if n < 0 or n_phi < 4:
-            raise ValueError(f"need n >= 0 and n_phi >= 4, got n={n}, n_phi={n_phi}")
-        self.n = int(n)
-        self.eps = float(eps)
-        self.chi = float(chi)
+        vars(self).update(ring_parameters(n, eps, chi))
+        if n_phi < 4:
+            raise ValueError(f"need n_phi >= 4, got n_phi={n_phi}")
         self.n_phi = int(n_phi)
-        self.delta, self.g, self.s, self.theta_mix = _ring_mixing(eps, chi)
         self.action_plus = self.n + 0.5 * (1.0 + self.s)
         self.action_minus = self.n + 0.5 * (1.0 - self.s)
         self.phi_grid = TWO_PI * np.arange(self.n_phi) / self.n_phi
@@ -447,11 +450,6 @@ class ActionRingBlock:
             "connection_plus": 0.5 * (1.0 - c2),
             "connection_minus": 0.5 * (1.0 + c2),
             "action_levels": (self.action_plus, self.action_minus),
-        }
-        self.formulas = {
-            "torus_plus": "pi*(1 - cos(2*mix))",
-            "torus_minus": "pi*(1 + cos(2*mix))",
-            "action_levels": "(n + (1 + s)/2, n + (1 - s)/2)",
         }
 
     def operator(self, theta):

@@ -135,6 +135,21 @@ def test_boolean_option_refuses_a_non_boolean(value, tmp_path, capsys):
     assert build_kwargs("ring-rotating", load_config(str(cfg)), {}) == {"adiabatic": False}
 
 
+@pytest.mark.parametrize("name,body", [
+    ("ring-rotating", "eps = 0.5"),      # one eps beside the two default chi
+    ("gauge-sweep", "modes = 0"),        # no Fourier mode for a random U(2) gauge
+    ("convergence", "levels = 512"),     # no refinement to gain over
+    ("ring-static", "eps = nan"),
+    ("ring-rotating", "omega = nan"),
+])
+def test_refused_input_exits_2(name, body, tmp_path, capsys):
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text(f"[{name}]\n{body}\n")
+    assert main(["run", name, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_numerical_obstruction_still_exits_1(tmp_path):
     # a GeomPhaseError from a run is not a bad invocation: it propagates,
     # and the process exits 1

@@ -9,6 +9,7 @@ import pytest
 
 from geomphase import experiments
 from geomphase.cli import build_kwargs, load_config
+from geomphase.errors import GeomPhaseError
 from geomphase.experiments import EXPERIMENTS
 
 QUICK_CFG = Path(__file__).resolve().parents[1] / "configs" / "quick.cfg"
@@ -76,3 +77,51 @@ def test_phase_split_reports_carry_norm_drift():
     drifts += [r[f"aa_norm_drift_{b}"] for r in ring.values() for b in ("plus", "minus")]
     assert len(drifts) == 2 * (len(spin) + len(ring))
     assert all(isinstance(d, float) and 0.0 <= d < 1e-10 for d in drifts)
+
+
+@pytest.mark.parametrize("name", list(EXPERIMENTS))
+def test_report_inputs_are_the_signature(name):
+    # every input the experiment ran with is recorded, and nothing else
+    report = _quick_run(name)
+    assert set(report["inputs"]) == set(inspect.signature(EXPERIMENTS[name]).parameters)
+
+
+def _refused(name, match, **override):
+    # a plain ValueError, which the command line reports as a bad value
+    with pytest.raises(ValueError, match=match) as exc:
+        _quick_run(name, **override)
+    assert not isinstance(exc.value, GeomPhaseError)
+
+
+@pytest.mark.parametrize("name,override", [
+    ("spin", {"theta": ()}),
+    ("ring-static", {"n": ()}),
+    ("ring-static", {"cone": ()}),
+    ("ring-rotating", {"n": ()}),
+    ("ring-rotating", {"eps": (), "chi": ()}),
+    ("ring-action", {"n": ()}),
+    ("direct-sum", {"blocks": ()}),
+    ("gauge-sweep", {"gauges": 0}),
+    ("convergence", {"levels": ()}),
+])
+def test_empty_sweep_refused(name, override):
+    _refused(name, "must have length at least", **override)
+
+
+@pytest.mark.parametrize("override", [
+    {"eps": (0.5,)},
+    {"chi": (math.pi / 3, math.pi / 6, math.pi / 4)},
+    {"adiabatic": True, "ratios": (1e-2, 1e-3, 1e-4), "adiabatic_steps": (2**14, 2**15)},
+])
+def test_unpaired_sequences_refused(override):
+    # a bare zip would drop the extra entries and report them as run
+    _refused("ring-rotating", "must have equal lengths", **override)
+
+
+@pytest.mark.parametrize("name,override", [
+    ("convergence", {"levels": (512,)}),
+    ("ring-rotating", {"adiabatic": True, "ratios": (1e-2,), "adiabatic_steps": (2**14,)}),
+])
+def test_gain_over_one_point_refused(name, override):
+    # a gain verdict over zero refinements would pass vacuously
+    _refused(name, "must have length at least 2", **override)

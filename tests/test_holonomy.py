@@ -322,6 +322,24 @@ def test_gauge_transform_rejects_open_gauge(rng):
         gauge_transform(path, g[:, None, None])
 
 
+def test_open_gauge_raises_the_typed_closure_error():
+    # refused as an open frame array is: NonCyclicError carrying the
+    # defect it measured
+    path, _ = spin_path(math.pi / 6, steps=64)
+    g = np.exp(1j * np.linspace(0.0, 0.3, 65))
+    with pytest.raises(NonCyclicError, match="gauge path must close") as exc:
+        gauge_transform(path, g[:, None, None])
+    assert exc.value.defect == pytest.approx(abs(np.exp(0.3j) - 1.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("modes", [0, -1, 1.5, 2.0])
+def test_random_unitary_gauge_refuses_modes_that_are_not_positive_integers(modes):
+    # modes = 0 divided the amplitude by zero; its twin random_phase_gauge
+    # takes 0 as no Fourier rows
+    with pytest.raises(ValueError, match="modes must be a positive integer"):
+        random_unitary_gauge(np.random.default_rng(5), 65, 2, modes=modes)
+
+
 def test_coarse_grid_refused():
     # two samples per turn leaves orthogonal successive frames, caught
     # before any phase is extracted

@@ -3,6 +3,7 @@ scratch here, and every published closed-form value is recomputed from
 its defining expression before being compared."""
 
 import dataclasses
+import inspect
 import math
 import re
 import warnings
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from geomphase import (
     ActionRingBlock,
     DegenerateMixingError,
+    GeomPhaseError,
     HermiticityError,
     OperatorFamily,
     RotatingRingBlock,
@@ -317,6 +319,27 @@ def test_degenerate_mixing_rejected():
     # delta = g = 0 leaves the band rotation undefined
     with pytest.raises(DegenerateMixingError):
         StaticRingBlock(eps=1.0, chi=math.pi / 2)
+
+
+BAD_RING_PARAMETERS = [
+    ("n", 1.5), ("n", -1), ("n", "1"),
+    ("eps", math.nan), ("eps", math.inf), ("chi", math.nan), ("chi", -math.inf),
+    ("omega", math.nan), ("omega", math.inf), ("omega", 0.0),
+]
+
+
+@pytest.mark.parametrize("block,name,value", [
+    (block, name, value)
+    for block in (StaticRingBlock, RotatingRingBlock, ActionRingBlock)
+    for name, value in BAD_RING_PARAMETERS
+    if name in inspect.signature(block).parameters
+])
+def test_ring_blocks_refuse_bad_parameters_by_name(block, name, value):
+    # a plain ValueError naming the input, not block 1 run under the label
+    # "n=1.5", nor a numerical error from the model the value spoiled
+    with pytest.raises(ValueError, match=f"^{name} must be") as exc:
+        block(**{name: value})
+    assert not isinstance(exc.value, GeomPhaseError)
 
 
 class TestStaticRingBlock:
