@@ -40,6 +40,7 @@ from .models import (
     assemble_blocks,
     constant_family,
     coupling_matrix,
+    rotating_family,
     trig_family,
 )
 from .evolution import (
@@ -97,6 +98,7 @@ __all__ = [
     "OperatorFamily",
     "trig_family",
     "constant_family",
+    "rotating_family",
     "SpinHalf",
     "coupling_matrix",
     "StaticRingBlock",

@@ -1,6 +1,7 @@
 """Hot numeric kernels over stacks of small matrices: Hermitian
 eigensolves, consecutive frame overlaps, polar factors, frame alignment,
-ordered matrix products and midpoint-exponential propagation.
+ordered matrix products, midpoint-exponential propagation and the
+closed-form propagation of constant and rigidly turning Hamiltonians.
 
 Each factorization picks its method from the matrix shape alone. Stacks
 of n > 2 matrices make one numpy.linalg (LAPACK) call on the whole stack;
@@ -43,15 +44,22 @@ bit for bit the sequential chain, whose rounding grows about linearly
 in k eps, as the tree's does (against an extended-precision chain of
 2^12 and 2^16 unit phases, at most 0.16 k eps on both).
 
-A time-independent Hamiltonian H = V diag(w) V^H is propagated in
-closed form: its states V diag(e^{-i w k dt}) V^H x0 come from one
-eigensolve and one product of the (M, n) phases, exact to rounding,
-where the tree builds up rounding over its products
-(_propagate_constant, which takes H itself and the step count). A
-family declared constant hands its one matrix straight to it (see
-evolution.evolve); propagate picks the method from the data, taking the
-closed form for a stack of midpoint samples that all equal the first
-and the tree for any other stack.
+A Hamiltonian that turns rigidly, H(t) = R(t) H R(t)^H with
+R(t) = e^{-i G t}, has the exact propagator R(t) e^{-i (H - G) t}; a
+time-independent one is the case G = 0. Its states are sums of fixed
+vectors times e^{-i Omega t} over the frequencies Omega = g_j + w_l of
+the spectra g of G and w of H - G (_closed_form, one eigh_batch call
+per run), exact to rounding, where the tree builds up rounding over its
+products. Each row is evaluated at its absolute time k dt
+(_propagate_closed), so a chunk of a run starts from x0, not from the
+previous chunk's last row. The unit phases of a chunk (4096 steps) come
+from one table (_phase_table): the product of a coarse table at every
+64th step and a fine one over 64 steps, so a chunk of m steps evaluates
+F (m / 64 + 64) sines and cosines instead of F m. A family declared
+constant or rotating hands (H, G) straight to it (see evolution.evolve);
+propagate picks the method from the data, taking the closed form for a
+stack of midpoint samples that all equal the first and the tree for any
+other stack.
 """
 
 import numpy as np
@@ -383,40 +391,97 @@ def _is_constant(h):
     return h.shape[0] > 0 and (h[-1] == h[0]).all() and (h == h[0]).all()
 
 
-def _propagate_constant(h, m, dt, x0, out=None):
-    """propagate for M = m steps of one Hamiltonian h (n, n):
-    X[0] = x0 and X[k] = V diag(e^{-i w k dt}) V^H x0, from one
-    eigendecomposition h = V diag(w) V^H.
+# steps per row of the coarse table of _phase_table, and per chunk of
+# _propagate_closed: one table of 64 x 64 steps
+_FINE_STEPS = 64
+_CHUNK_STEPS = _FINE_STEPS * _FINE_STEPS
 
-    Row k, flattened, is sum_j e^{-i w_j k dt} V[:, j] (V^H x0)[j], so
-    rows 1..M are one product of the (M, n) phases with the n outer
-    products, held as the columns of an (n K, n) matrix. V^H x0 is
-    formed before out is written, so x0 may be out's first row, and X[0]
-    is x0 exactly.
-    """
-    w, v = eigh_batch(h[None])
-    w, v = w[0], v[0]
-    n = w.size
+
+def _closed_form(h, g, x0):
+    """The modes of the exact states X(t) = R(t) e^{-i (H - G) t} x0 of
+    H(t) = R(t) H R(t)^H, R(t) = e^{-i G t}, with G = 0 if g is None (a
+    constant H): frequencies Omega (F,) and vectors B (F, n K) with
+    X(t), flattened, = sum_f B[f] e^{-i Omega_f t}.
+
+    With H - G = W diag(w) W^H and G = V diag(g) V^H, the frequencies are
+    Omega_jl = g_j + w_l and B_jl = V[:, j] (V^H W)[j, l] (W^H x0)[l], n^2
+    of them; at G = 0 they are w_l and W[:, l] (W^H x0)[l], n of them.
+    Both eigendecompositions are one eigh_batch call."""
+    n = h.shape[-1]
+    if g is None:
+        (w,), (v,) = eigh_batch(h[None])
+        freqs, p = w, v[None]
+    else:
+        (w, gw), (v, gv) = eigh_batch(np.stack((h - g, g)))
+        freqs = (gw[:, None] + w).reshape(-1)
+        p = gv.T[:, :, None] * (_adjoint(gv) @ v)[:, None, :]
     c = _adjoint(v) @ x0.reshape(n, -1)
-    b = (v[:, None, :] * c.T).reshape(-1, n)
-    # the angles -w_j k dt column by column: a broadcast into the strided
-    # real part would run numpy's buffered iterator, a stack of buffers
-    ks = np.arange(1.0, m + 1)
-    ph = np.empty((m, n), np.complex128)
-    for j in range(n):
-        np.multiply(ks, -dt * w[j], out=ph.real[:, j])
-    del ks
-    np.sin(ph.real, out=ph.imag)
-    np.cos(ph.real, out=ph.real)
+    # [j, i, l, k] = p[j, i, l] c[l, k], rows (j, l), columns (i, k)
+    vecs = (p[..., None] * c).transpose(0, 2, 1, 3).reshape(freqs.size, -1)
+    return freqs, vecs
+
+
+def _phase_table(freqs, dt, a, b, out=None):
+    """e^{-i Omega_f k dt} for k = a+1 .. b, shape (F, b - a), from a
+    coarse table at every _FINE_STEPS-th step, k = a+1 + 64 q, times a
+    fine table over the 64 steps after it, r dt for r = 0 .. 63. A table
+    of m steps evaluates F (m / 64 + 64) sines and cosines, not F m. It
+    is as accurate as e^{-i Omega_f (k dt)} evaluated step by step: the
+    rounding of the argument, |Omega k dt| ulps, outweighs the product's
+    few. out, if given, is an (F, c) buffer with c >= b - a rounded up
+    to a multiple of 64, or c = b - a < 64; the table is a view of it."""
+    m = b - a
+    coarse = _unit_phases(np.multiply.outer(-freqs, np.arange(a + 1, b + 1, _FINE_STEPS) * dt))
+    fine = _unit_phases(np.multiply.outer(-freqs, np.arange(min(m, _FINE_STEPS)) * dt))
+    rows, cols = coarse.shape[1], fine.shape[1]
     if out is None:
-        out = np.empty((m + 1,) + x0.shape, np.complex128)
-    x = out.reshape((m + 1, -1), copy=False)
-    x[0] = x0.reshape(-1)
-    # einsum runs numpy's own loops; a BLAS product (4096, 4) x (4, 4) on
-    # two threads of a shared 2-core VM was seen to take 8 ms, 0.05 ms on
-    # one thread
-    np.einsum("mj,pj->mp", ph, b, out=x[1:])
+        out = np.empty((freqs.size, rows * cols), np.complex128)
+    table = out[:, :rows * cols].reshape((freqs.size, rows, cols), copy=False)
+    np.multiply(coarse[:, :, None], fine[:, None, :], out=table)
+    return out[:, :m]
+
+
+def _unit_phases(angles):
+    """e^{i angles}, written as cos and sin into one complex array."""
+    out = np.empty(angles.shape, np.complex128)
+    np.cos(angles, out=out.real)
+    np.sin(angles, out=out.imag)
     return out
+
+
+def _propagate_closed(modes, dt, m, out):
+    """Rows 1 .. m of the states X(k dt) = sum_f B[f] e^{-i Omega_f k dt}
+    of the modes (Omega, B) from _closed_form, written once each into
+    out, the C-contiguous (m+1, *x0.shape) buffer of a run, in chunks of
+    _CHUNK_STEPS steps with one phase table each. Each row comes from x0
+    at its absolute time, so no chunk carries another's rounding.
+
+    Column j of a chunk is sum_f table[f] B[f, j], formed by scaled adds
+    over the table's contiguous rows in buffers allocated once per run:
+    numpy's einsum took twice as long, a fresh table per chunk faulted
+    its pages in each time, and a BLAS product (4096, 4) x (4, 4) on two
+    threads of a shared 2-core VM was seen to take 8 ms, 0.05 ms on one
+    thread. A frequency times the last time that overflows is refused
+    with ValueError: its phases would be NaN."""
+    freqs, vecs = modes
+    with np.errstate(over="ignore"):  # refused below
+        last = freqs * (m * dt)
+    if not np.all(np.isfinite(last)):
+        raise ValueError("closed form: a frequency times the run's duration is not finite")
+    x = out.reshape((m + 1, -1), copy=False)
+    size = min(m, _CHUNK_STEPS)
+    table = np.empty((freqs.size, min(-(-m // _FINE_STEPS) * _FINE_STEPS, _CHUNK_STEPS)),
+                     np.complex128)
+    work = np.empty((2, size), np.complex128)
+    for a in range(0, m, _CHUNK_STEPS):
+        b = min(a + _CHUNK_STEPS, m)
+        tab = _phase_table(freqs, dt, a, b, table)
+        acc, term = work[:, :b - a]
+        for j, rows in enumerate(x[a + 1:b + 1].T):
+            np.multiply(tab[0], vecs[0, j], out=acc)
+            for f in range(1, freqs.size):
+                acc += np.multiply(tab[f], vecs[f, j], out=term)
+            rows[...] = acc
 
 
 def propagate(h_mid, dt, x0, out=None):
@@ -427,11 +492,18 @@ def propagate(h_mid, dt, x0, out=None):
     Each step U_k = exp(-i H_k dt) of its midpoint Hamiltonian is unitary
     to rounding; the identity block gives the cumulative propagators.
     A stack whose samples all equal the first is one Hamiltonian, and
-    U_k ... U_0 = exp(-i H (k+1) dt) comes from one eigendecomposition
-    (_propagate_constant); any other stack goes through the product tree.
-    out, if given, is the C-contiguous buffer the states are written into;
-    x0 may be its first row.
+    U_k ... U_0 = exp(-i H (k+1) dt) comes in closed form from one
+    eigendecomposition (_closed_form, _propagate_closed); any other
+    stack goes through the product tree. out, if given, is the
+    C-contiguous buffer the states are written into; x0 may be its first
+    row, and X[0] is x0 exactly.
     """
-    if _is_constant(h_mid):
-        return _propagate_constant(h_mid[0], h_mid.shape[0], dt, x0, out)
-    return _downsweep(_upsweep(_expm_herm(h_mid, dt)), x0, out)
+    m = h_mid.shape[0]
+    if not _is_constant(h_mid):
+        return _downsweep(_upsweep(_expm_herm(h_mid, dt)), x0, out)
+    modes = _closed_form(h_mid[0], None, x0)
+    if out is None:
+        out = np.empty((m + 1,) + x0.shape, np.complex128)
+    out[0] = x0
+    _propagate_closed(modes, dt, m, out)
+    return out

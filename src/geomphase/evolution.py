@@ -2,30 +2,36 @@
 top of it: total phase of a (nearly) cyclic run, dynamic phase from the
 energy expectation, and their difference, the geometric remainder.
 
-The propagator uses one midpoint exponential per interval, so each step
-is exactly unitary. Constant Hamiltonians are integrated exactly: a
-chunk's states are exp(-i H k dt) x0 from one eigendecomposition of H
-(see _kernels.propagate), with no per-step exponentials to chain. A
-family built by constant_family hands its one matrix to that closed
-form; any other family's chunk takes it when every midpoint sample of
-the chunk equals the first.
+A family with a rotation (H0, G) turns rigidly, H(t) = R(t) H0 R(t)^H
+with R(t) = e^{-i G t}, and is propagated exactly: its states are
+R(t) e^{-i (H0 - G) t} x0, sums of fixed vectors times e^{-i Omega t},
+from one pair of eigendecompositions per run, each row at its absolute
+time (see _kernels._closed_form). rotating_family declares one, and
+constant_family the case G = 0; a plain sampler whose checked midpoint
+stack is one matrix takes the same closed form. Every other family
+(trig_family, assemble_blocks, a plain sampler) is integrated with one
+midpoint exponential per interval, so each step is exactly unitary; a
+chunk of such a run whose midpoint samples all equal the first takes
+the closed form from the chunk's first state.
 
-A family built by trig_family, constant_family or assemble_blocks is
-Hermitian by construction (OperatorFamily.hermitian): its coefficients
-were checked once, and its samples at the finite times of a run are
-used unchecked. A plain sampler's midpoint stack is refused as a whole,
-against 1e-10 of its scale, before the first step, and aa_phase refuses
-its grid-edge stack the same way before the first energy.
+A family built by trig_family, rotating_family, constant_family or
+assemble_blocks is Hermitian by construction (OperatorFamily.hermitian):
+its coefficients were checked once, and its samples at the finite times
+of a run are used unchecked. A plain sampler's midpoint stack is refused
+as a whole, against 1e-10 of its scale, before the first step, and
+aa_phase refuses its grid-edge stack the same way before the first
+energy.
 
-A run goes through its grid in chunks of CHUNK_STEPS steps. Each chunk
-propagates the last state of the previous chunk, writing its states
-straight into the run's one (M+1, n) or (M+1, n, K) buffer. aa_phase
-reads the energy expectation over the same chunks as one sum of
+A midpoint run goes through its grid in chunks of CHUNK_STEPS steps.
+Each chunk propagates the last state of the previous chunk, writing its
+states straight into the run's one (M+1, n) or (M+1, n, K) buffer.
+aa_phase reads the energy expectation over the same chunks as one sum of
 weighted quadratic forms of the states: a built family's terms with no
 sample, else identity forms weighted by grid-edge samples. So a run
-samples a built family at most once, at its midpoints, and holds its
-states plus one chunk's temporaries (and, for a plain sampler, its
-midpoint or edge stack while it is checked).
+samples a trig_family at most once, at its midpoints, and a rotating or
+constant family never, and holds its states plus one chunk's
+temporaries (and, for a plain sampler, its midpoint or edge stack while
+it is checked).
 """
 
 import math
@@ -110,7 +116,9 @@ def evolve(family, x0, steps=4096, duration=None):
     state x0 (n,) or a column block x0 (n, K) with orthonormal columns.
 
     duration defaults to the family period; overriding it is how partial
-    cycles and common time axes for mismatched blocks are run.
+    cycles and common time axes for mismatched blocks are run. A family
+    with a rotation takes the exact closed form, any other the midpoint
+    steps (see the module docstring); X[0] is x0 exactly.
     """
     times = _time_grid(family, steps, duration)
     x0 = np.ascontiguousarray(x0, dtype=np.complex128)
@@ -124,6 +132,21 @@ def evolve(family, x0, steps=4096, duration=None):
         require_unitary(x0, name="initial column block")
     chunks = _chunks(steps)
     dt = times[-1] / steps
+    rotation = family.rotation
+    mids = 0.5 * (times[:-1] + times[1:])
+    if rotation is None and not family.hermitian:
+        # refused as one stack before the first step; a stack of one
+        # matrix is a constant family's, else it is resampled chunk by
+        # chunk
+        hs = _hermitian_samples(family, mids)
+        if _kernels._is_constant(hs):
+            rotation = (hs[0].copy(), None)
+        del hs
+    if rotation is not None:
+        states = np.empty((steps + 1,) + x0.shape, np.complex128)
+        states[0] = x0
+        _kernels._propagate_closed(_kernels._closed_form(*rotation, x0), dt, steps, states)
+        return Trajectory(family, times, states)
     # one chunk lets propagate allocate the states once the step
     # exponential's temporaries are freed; a buffer allocated ahead of
     # them raised the benchmark's peak RSS
@@ -131,19 +154,9 @@ def evolve(family, x0, steps=4096, duration=None):
     if len(chunks) > 1:
         states = np.empty((steps + 1,) + x0.shape, np.complex128)
         states[0] = x0
-    h = family.matrix
-    if h is None:
-        mids = 0.5 * (times[:-1] + times[1:])
-        if not family.hermitian:
-            # refused as one stack before the first step, then resampled
-            # chunk by chunk
-            _hermitian_samples(family, mids)
     for a, b in chunks:
         x, out = (x0, None) if states is None else (states[a], states[a:b + 1])
-        if h is not None:
-            x = _kernels._propagate_constant(h, b - a, dt, x, out)
-        else:
-            x = _kernels.propagate(family.sample(mids[a:b]), dt, x, out)
+        x = _kernels.propagate(family.sample(mids[a:b]), dt, x, out)
         if states is None:
             states = x
     return Trajectory(family, times, states)

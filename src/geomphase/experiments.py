@@ -281,6 +281,8 @@ def run_direct_sum(blocks=(0, 1), cone=math.pi / 6, omega=1.0, eps=0.5,
     accumulate exactly its single-block phase."""
     ledger = _Ledger("direct-sum", locals())
     blocks = _sweep(blocks=blocks)
+    if len(set(blocks)) < len(blocks):
+        raise ValueError(f"blocks must not repeat, got {list(blocks)}")
     models = {
         b: StaticRingBlock(n=b, cone=cone, omega=omega, eps=eps, chi=chi)
         for b in blocks

@@ -32,11 +32,14 @@ class OperatorFamily:
     sampler maps a time array (M,) to the stack of matrices (M, dim, dim).
     The declared period is part of the contract: it must be finite and
     positive, and H(0) and H(period) must agree to 1e-10 relative, checked
-    once at construction. trig_family and constant_family also set terms.
+    once at construction. trig_family, constant_family and
+    rotating_family also set terms, the last two also rotation.
     """
 
-    # set by trig_family and constant_family alone
+    # set by trig_family, constant_family and rotating_family alone
     _terms = None
+    # set by constant_family and rotating_family alone
+    _rotation = None
     # set by assemble_blocks alone
     _hermitian = False
 
@@ -69,6 +72,14 @@ class OperatorFamily:
         ((C0,), 0.0) of a constant_family, read-only and exactly
         Hermitian; None for a plain sampler or an assemble_blocks sum."""
         return self._terms
+
+    @property
+    def rotation(self):
+        """(H0, G) of a rotating_family, H(t) = R(t) H0 R(t)^H with
+        R(t) = e^{-i G t}, whose propagator is R(t) e^{-i (H0 - G) t};
+        (C0, None) of a constant_family, the case G = 0. Read-only and
+        exactly Hermitian; None for any other family."""
+        return self._rotation
 
     @property
     def matrix(self):
@@ -167,7 +178,85 @@ def trig_family(c0, c1, c2, omega, period=None, label="family"):
 def constant_family(c0, period, label="family"):
     """H(t) = C0, declared constant: its one term C0 is its matrix, which
     evolve and aa_phase read in place of samples."""
-    return _built_family((_coefficient(c0, "C0"),), 0.0, period, label)
+    c0 = _coefficient(c0, "C0")
+    family = _built_family((c0,), 0.0, period, label)
+    family._rotation = (c0, None)
+    return family
+
+
+# the tolerances of rotating_family: a frequency matches 0 or omega to
+# 1e-10 of omega, and an entry of H0 in G's eigenbasis below 1e-12 of
+# max |H0| is rounding, whatever its frequency
+_RATE_TOL = 1e-10
+_ENTRY_TOL = 1e-12
+
+
+def rotating_family(h0, g, period, label="family"):
+    """H(t) = R(t) H0 R(t)^H with R(t) = e^{-i G t}: H0 turned rigidly by
+    the generator G, with the exact propagator R(t) e^{-i (H0 - G) t}
+    (Lewis and Riesenfeld, J. Math. Phys. 10, 1458 (1969)), which evolve
+    takes from rotation = (H0, G).
+
+    In G's eigenbasis (G's own basis if G is diagonal, else ascending)
+    entry (j, k) of H0 turns as e^{-i (g_j - g_k) t}, and every entry
+    must turn at 0 or -+omega with |omega| = 2 pi / period, omega read
+    from G's spectrum. The first turning entry above the diagonal turns
+    as e^{i omega t}, which fixes omega's sign. The terms are C0 (the
+    entries at rest), C1 (the turning entries) and C2 (i times those at
+    e^{i omega t}, -i times those at e^{-i omega t}), each taken back to
+    the given basis, so that H(t) = C0 + cos(omega t) C1 + sin(omega t) C2
+    is sampled and read by aa_phase as a trig_family. A second harmonic
+    or any other frequency is refused with ValueError, as are a
+    non-finite entry and a period that is not finite and positive; a
+    non-Hermitian H0 or G raises HermiticityError."""
+    period = float(period)
+    if not (math.isfinite(period) and period > 0.0):
+        raise ValueError(f"period must be finite and positive, got {period}")
+    h0, g = np.asarray(h0, dtype=np.complex128), np.asarray(g, dtype=np.complex128)
+    for name, m in (("H0", h0), ("G", g)):
+        if not np.all(np.isfinite(m)):
+            raise ValueError(f"{label}: {name} has a non-finite entry")
+    if h0.ndim != 2 or h0.shape != g.shape:
+        raise ValueError(f"H0 {h0.shape} and G {g.shape} must be square of one shape")
+    h0, g = _coefficient(h0, "H0"), _coefficient(g, "G")
+    diagonal = not np.any(g - np.diag(np.diag(g)))
+    if diagonal:
+        rates, a = np.diag(g).real, h0
+    else:
+        rates, v = np.linalg.eigh(g)
+        a = _adjoint(v) @ h0 @ v
+    rate, tol = TWO_PI / period, _RATE_TOL * TWO_PI / period
+    with np.errstate(over="ignore"):  # an infinite rate is refused below
+        d = rates[:, None] - rates[None, :]
+        at_rest = np.abs(d) <= tol
+        turning = ~at_rest & (np.abs(a) > _ENTRY_TOL * np.max(np.abs(h0)))
+        omega = rate
+        if turning.any():
+            j, k = np.argwhere(np.triu(turning))[0]
+            omega = -d[j, k]
+            if not abs(abs(omega) - rate) <= tol:
+                raise ValueError(
+                    f"{label}: entry ({j}, {k}) of H0 turns at {abs(omega):.6g}, "
+                    f"not at 2 pi / period = {rate:.6g}"
+                )
+        up, down = np.abs(d + omega) <= tol, np.abs(d - omega) <= tol
+    stray = turning & ~(up | down)
+    if stray.any():
+        j, k = np.argwhere(stray)[0]
+        raise ValueError(
+            f"{label}: entry ({j}, {k}) of H0 turns at {abs(d[j, k]):.6g}, "
+            f"not at 0 or omega = {abs(omega):.6g}; a second harmonic is not "
+            "a rigid rotation at one frequency"
+        )
+    ia = 1j * a
+    coefficients = [np.where(at_rest, a, 0), np.where(up | down, a, 0),
+                    np.where(up, ia, np.where(down, -ia, 0))]
+    if not diagonal:
+        coefficients = [v @ c @ _adjoint(v) for c in coefficients]
+    coefficients = [_coefficient(c, f"C{i}") for i, c in enumerate(coefficients)]
+    family = _built_family(coefficients, omega, period, label)
+    family._rotation = (h0, g)
+    return family
 
 
 def _cone_frame(theta, omega, t):
@@ -206,10 +295,10 @@ class SpinHalf:
     }
 
     def __init__(self, theta=math.pi / 6, omega_s=1.0):
-        if omega_s <= 0.0:
+        self.theta = _finite("theta", theta)
+        self.omega_s = _finite("omega_s", omega_s)
+        if self.omega_s <= 0.0:
             raise ValueError(f"field frequency must be positive, got {omega_s}")
-        self.theta = float(theta)
-        self.omega_s = float(omega_s)
         self.period = TWO_PI / self.omega_s
         self.hamiltonian = constant_family(
             0.5 * self.omega_s * SIGMA_Z, self.period, label="spin field"
@@ -233,6 +322,14 @@ class SpinHalf:
     state = _frame_state
 
 
+def _finite(name, value):
+    """value as a float; refused by name with ValueError unless finite."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
 def _branch_column(branch):
     if branch in ("+", 0):
         return 0
@@ -251,14 +348,11 @@ def ring_parameters(n, eps, chi, omega=None):
     merges the bands, a model error: DegenerateMixingError."""
     if not (isinstance(n, numbers.Integral) and n >= 0):
         raise ValueError(f"n must be a non-negative integer, got {n!r}")
-    p = {"n": int(n), "eps": float(eps), "chi": float(chi)}
+    p = {"n": int(n), "eps": _finite("eps", eps), "chi": _finite("chi", chi)}
     if omega is not None:
-        p["omega"] = float(omega)
-    for name, value in p.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    if omega is not None and not p["omega"] > 0.0:
-        raise ValueError(f"omega must be positive, got {omega}")
+        p["omega"] = _finite("omega", omega)
+        if not p["omega"] > 0.0:
+            raise ValueError(f"omega must be positive, got {omega}")
     eps, chi = p["eps"], p["chi"]
     delta = eps * math.cos(chi)
     g = 1.0 - eps * math.sin(chi)
@@ -316,7 +410,7 @@ class StaticRingBlock:
 
     def __init__(self, n=0, cone=math.pi / 6, omega=1.0, eps=0.5, chi=math.pi / 3):
         vars(self).update(ring_parameters(n, eps, chi, omega))
-        self.cone = float(cone)
+        self.cone = _finite("cone", cone)
         half = self.n + 0.5
         self.splitting = 2.0 * self.omega_ns
         self.period = math.pi / self.omega_ns
@@ -378,6 +472,8 @@ class RotatingRingBlock:
 
     def __init__(self, n=0, omega=1.0, eps=0.5, chi=math.pi / 3, omega_o=1.0):
         vars(self).update(ring_parameters(n, eps, chi, omega))
+        if not math.isfinite(omega_o):
+            raise ValueError(f"frequency must be finite, got {omega_o}")
         if omega_o == 0.0:
             raise ValueError("rotation frequency must be nonzero; use StaticRingBlock instead")
         self.omega_o = float(omega_o)
@@ -387,11 +483,14 @@ class RotatingRingBlock:
         self.e_plus = self.c0 + self.kappa * self.s
         self.e_minus = self.c0 - self.kappa * self.s
 
-        self.hamiltonian = trig_family(
-            self.c0 * ID2 - self.kappa * self.g * SIGMA_Z,
-            -self.kappa * self.delta * SIGMA_X,
-            self.kappa * self.delta * SIGMA_Y,
-            self.omega_o,
+        # H(0), turned by G = -omega_o sigma_z / 2 into the coupling phase
+        # e^{i omega_o t}: the terms C0 = c0 - kappa g sigma_z,
+        # C1 = -kappa delta sigma_x, C2 = kappa delta sigma_y, omega_o
+        self.hamiltonian = rotating_family(
+            (self.c0 * ID2 - self.kappa * self.g * SIGMA_Z)
+            + (-self.kappa * self.delta * SIGMA_X),
+            -0.5 * self.omega_o * SIGMA_Z,
+            self.period,
             label=f"rotating ring block n={self.n}",
         )
         self.invariant = constant_family(

@@ -150,6 +150,24 @@ def test_refused_input_exits_2(name, body, tmp_path, capsys):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("name,body,message", [
+    # "C0 is not Hermitian: ... nan", exit 1
+    ("ring-static", "cone = nan", "cone must be finite"),
+    ("spin", "theta = nan", "theta must be finite"),
+    ("spin", "omega_s = nan", "omega_s must be finite"),
+    # "math domain error"
+    ("spin", "theta = inf", "theta must be finite"),
+    # "total weight must be 1, got 0.500000000000"
+    ("direct-sum", "blocks = 0, 0", "blocks must not repeat"),
+])
+def test_refused_input_is_named(name, body, message, tmp_path, capsys):
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text(f"[{name}]\n{body}\n")
+    assert main(["run", name, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1
+
+
 def test_numerical_obstruction_still_exits_1(tmp_path):
     # a GeomPhaseError from a run is not a bad invocation: it propagates,
     # and the process exits 1

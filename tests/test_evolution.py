@@ -29,6 +29,7 @@ from geomphase import (
     constant_family,
     cyclic_defect,
     evolve,
+    rotating_family,
     transport_error,
     trig_family,
 )
@@ -63,10 +64,34 @@ def test_spin_propagation_exact(rng):
         assert np.max(np.abs(traj.states[k] - want)) < 1e-12
 
 
-def test_rotating_ring_propagation(rng):
+def _undeclared(fam):
+    # the same trig terms without the rotation: integrated step by step
+    (c0, c1, c2), omega = fam.terms
+    twin = trig_family(c0, c1, c2, omega)
+    assert twin.rotation is None and np.array_equal(twin.sample([0.3]), fam.sample([0.3]))
+    return twin
+
+
+# a state, the identity block and a one-column block
+def _starts(b):
+    return (b.state("+"), ID2, b.frame_batch(0.0)[:, 1:])
+
+
+def test_rotating_ring_propagation():
     b = RotatingRingBlock(n=0, eps=0.5, chi=math.pi / 3, omega_o=1.0)
+    # the declared family takes the closed form, exact to rounding over
+    # more than one chunk and a partial cycle
+    for x0 in _starts(b):
+        traj = evolve(b.hamiltonian, x0, steps=CHUNK_STEPS + 5, duration=1.3 * b.period)
+        assert traj.states.shape == (CHUNK_STEPS + 6,) + x0.shape
+        assert np.array_equal(traj.states[0], x0)
+        for k in (1, 63, 64, 65, CHUNK_STEPS, CHUNK_STEPS + 1, CHUNK_STEPS + 5):
+            want = np.reshape([rotating_exact(b, traj.times[k], c)
+                               for c in x0.reshape(2, -1).T], x0.T.shape).T
+            assert np.max(np.abs(traj.states[k] - want)) <= 1e-12
+    # its undeclared twin is integrated by the midpoint steps
     psi0 = b.state("+")
-    traj = evolve(b.hamiltonian, psi0, steps=4096)
+    traj = evolve(_undeclared(b.hamiltonian), psi0, steps=4096)
     err = 0.0
     for k in (1024, 2048, 4096):
         want = rotating_exact(b, traj.times[k], psi0)
@@ -87,16 +112,52 @@ def test_rotating_frame_propagator_oracle(ratio):
     h0 = b.hamiltonian(0.0)
     # 25 periods of the level splitting, a small part of one rotation;
     # the identity block evolves into the cumulative propagators
-    traj = evolve(b.hamiltonian, np.eye(2), steps=4096,
-                  duration=50 * math.pi / probe.omega_ns)
-    t = traj.times
-    rot = np.exp(-1j * w * t)[:, None, None] * gen + (ID2 - gen)
-    hs = b.hamiltonian.sample(t)
-    assert np.max(np.abs(hs - rot @ h0 @ rot.conj().transpose(0, 2, 1))) < 1e-14
-    want = rot @ scipy.linalg.expm(-1j * (h0 - w * gen) * t[:, None, None])
-    # the midpoint step errs by the drift of H over a step, which is
-    # proportional to the drive rate (measured 0.91e-4 * ratio here)
-    assert np.max(np.abs(traj.states - want)) <= 2e-4 * ratio
+    duration = 50 * math.pi / probe.omega_ns
+
+    def oracle(steps):
+        t = np.linspace(0.0, duration, steps + 1)
+        rot = np.exp(-1j * w * t)[:, None, None] * gen + (ID2 - gen)
+        assert np.max(np.abs(b.hamiltonian.sample(t)
+                             - rot @ h0 @ rot.conj().transpose(0, 2, 1))) < 1e-14
+        return rot @ scipy.linalg.expm(-1j * (h0 - w * gen) * t[:, None, None])
+
+    # the declared family's closed form is exact to rounding, for the
+    # identity block, a state and a column block alike
+    want = oracle(CHUNK_STEPS + 5)
+    for x0 in _starts(b):
+        got = evolve(b.hamiltonian, x0, steps=CHUNK_STEPS + 5, duration=duration).states
+        assert np.array_equal(got[0], x0)
+        assert np.max(np.abs(got - want @ x0)) <= 1e-12
+    # the undeclared twin's midpoint step errs by the drift of H over a
+    # step, which is proportional to the drive rate (measured
+    # 0.91e-4 * ratio here)
+    traj = evolve(_undeclared(b.hamiltonian), np.eye(2), steps=4096, duration=duration)
+    assert np.max(np.abs(traj.states - oracle(4096))) <= 2e-4 * ratio
+
+
+def test_rotating_family_propagator_is_exact(rng):
+    # a dense 3 x 3 G with levels -w/2, w/2, w/2 turns a random H0 at w;
+    # evolve takes U(t) = e^{-i G t} e^{-i (H0 - G) t} in closed form
+    u = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+    g = u @ np.diag([-0.35, 0.35, 0.35]) @ u.conj().T
+    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    h0 = (a + a.conj().T) / 4
+    fam = rotating_family(h0, g, 2 * math.pi / 0.7)
+    traj = evolve(fam, np.eye(3), steps=CHUNK_STEPS + 5, duration=3.3 * fam.period)
+    assert np.array_equal(traj.states[0], np.eye(3))
+    for k in range(0, CHUNK_STEPS + 6, 97):
+        t = traj.times[k]
+        want = scipy.linalg.expm(-1j * g * t) @ scipy.linalg.expm(-1j * (h0 - g) * t)
+        assert np.max(np.abs(traj.states[k] - want)) <= 1e-12
+    assert np.max(np.abs(traj.states[-1] - scipy.linalg.expm(-1j * g * traj.times[-1])
+                         @ scipy.linalg.expm(-1j * (h0 - g) * traj.times[-1]))) <= 1e-12
+
+
+def test_closed_form_refuses_overflowed_phase():
+    # e^{-i Omega t} at Omega t = 1e310 would be NaN, with only a warning
+    fam = constant_family(1e10 * SIGMA_Z, 1.0)
+    with pytest.raises(ValueError, match="duration is not finite"):
+        evolve(fam, np.array([1.0, 0.0]), steps=8, duration=1e300)
 
 
 def test_norm_conserved(rng):
@@ -297,7 +358,7 @@ def test_built_families_sampled_without_defect_checks(monkeypatch):
     # a trig family is Hermitian by construction, so neither evolve nor
     # _hermitian_samples reads its samples' defect; a plain sampler over
     # the same function is still checked, once per run
-    fam = RotatingRingBlock(n=1).hamiltonian
+    fam = _undeclared(RotatingRingBlock(n=1).hamiltonian)
     plain = OperatorFamily(2, fam.period, fam._sampler, label="plain")
     psi = np.array([1.0, 0.0], dtype=complex)
     steps = CHUNK_STEPS + 5

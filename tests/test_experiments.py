@@ -125,3 +125,10 @@ def test_unpaired_sequences_refused(override):
 def test_gain_over_one_point_refused(name, override):
     # a gain verdict over zero refinements would pass vacuously
     _refused(name, "must have length at least 2", **override)
+
+
+@pytest.mark.parametrize("blocks", [(0, 0), (1, 0, 1)])
+def test_repeated_direct_sum_block_refused(blocks):
+    # the dict of block models dropped the repeat after the amplitude was
+    # taken from the list's length: "total weight must be 1, got 0.5"
+    _refused("direct-sum", "blocks must not repeat", blocks=blocks)

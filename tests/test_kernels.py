@@ -711,6 +711,32 @@ def test_propagate_one_ulp_off_constant_takes_the_tree(n, where):
     assert np.max(np.abs(got - np.stack(want))) <= 1e-13
 
 
+@pytest.mark.parametrize("a,b", [(0, 4096), (0, 100), (0, 64), (0, 1), (0, 63),
+                                 (12288, 12488), (4095, 4096)])
+def test_phase_table_matches_direct_evaluation(a, b):
+    # rows k = a+1 .. b: the first row, the 63rd/64th-step boundary of the
+    # coarse table, a count that is not a multiple of 64, a single step
+    # and the last row, at |Omega t| up to 1e4
+    freqs = np.array([1.0, -3.3, 7.1, 0.0, 0.37])
+    dt = 1e4 / (b * 7.1)
+    eps = np.finfo(float).eps
+    got = _kernels._phase_table(freqs, dt, a, b)
+    assert got.shape == (5, b - a)
+    angles = np.multiply.outer(-freqs, np.arange(a + 1, b + 1) * dt)
+    direct = np.cos(angles) + 1j * np.sin(angles)
+    bound = eps * (1.0 + np.abs(angles))
+    assert np.max(np.abs(angles)) >= 1e4 * (1 - 1e-12)
+    assert np.all(np.abs(got - direct) <= 4 * bound)
+    assert np.array_equal(got[:, 0], direct[:, 0]) and np.array_equal(got[3], np.ones(b - a))
+    if np.finfo(np.longdouble).eps < eps:
+        # both miss the extended-precision phase by the argument's rounding
+        ext = np.multiply.outer(-freqs.astype(np.longdouble),
+                                np.arange(a + 1, b + 1).astype(np.longdouble) * np.longdouble(dt))
+        exact = np.cos(ext) + 1j * np.sin(ext)
+        assert np.all(np.abs(got - exact) <= 2 * bound)
+        assert np.all(np.abs(direct - exact) <= 2 * bound)
+
+
 def test_propagate_empty_stack_gives_x0():
     x0 = np.array([0.6, 0.8j])
     got = _kernels.propagate(np.empty((0, 2, 2), np.complex128), 0.1, x0)

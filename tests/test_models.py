@@ -26,6 +26,7 @@ from geomphase import (
     assemble_blocks,
     constant_family,
     coupling_matrix,
+    rotating_family,
     trig_family,
 )
 from geomphase.evolution import Trajectory, _energy_and_norms
@@ -342,6 +343,29 @@ def test_ring_blocks_refuse_bad_parameters_by_name(block, name, value):
     assert not isinstance(exc.value, GeomPhaseError)
 
 
+@pytest.mark.parametrize("make,name,value", [
+    (SpinHalf, "theta", math.nan), (SpinHalf, "theta", math.inf),
+    (SpinHalf, "omega_s", math.nan), (SpinHalf, "omega_s", math.inf),
+    (StaticRingBlock, "cone", math.nan), (StaticRingBlock, "cone", -math.inf),
+])
+def test_models_refuse_non_finite_inputs_by_name(make, name, value):
+    # NaN gave "C0 is not Hermitian: ... nan", an infinite theta "math
+    # domain error"
+    with pytest.raises(ValueError, match=f"^{name} must be finite") as exc:
+        make(**{name: value})
+    assert not isinstance(exc.value, GeomPhaseError)
+
+
+@pytest.mark.parametrize("omega_o", [math.nan, math.inf, -math.inf])
+def test_rotating_ring_block_refuses_non_finite_rotation(omega_o):
+    # refused by name before rotating_family sees G, with no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="frequency must be finite") as exc:
+            RotatingRingBlock(omega_o=omega_o)
+    assert not isinstance(exc.value, GeomPhaseError)
+
+
 class TestStaticRingBlock:
     def test_energies_and_hamiltonian(self):
         for n in (0, 1, 2):
@@ -478,3 +502,107 @@ def test_assemble_blocks_direct_sum(rng):
         assert np.max(np.abs(m[2:, 2:] - b1.invariant(t))) < 1e-14
         assert np.max(np.abs(m[:2, 2:])) == 0.0
         assert np.max(np.abs(m[2:, :2])) == 0.0
+
+
+def _turned(h0, g, t):
+    # R(t) H0 R(t)^H with R(t) = e^{-i G t}, from G's eigendecomposition
+    w, v = np.linalg.eigh(g)
+    r = (v * np.exp(-1j * w * t)) @ v.conj().T
+    return r @ h0 @ r.conj().T
+
+
+def _random_hermitian(rng, n):
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    a = a + a.conj().T
+    return a / np.max(np.abs(a))
+
+
+@pytest.mark.parametrize("levels", [(-0.35, 0.35, 0.35), (0.0, 0.0, 0.7, 0.7), (0.0, 0.7)])
+@pytest.mark.parametrize("dense", [False, True], ids=["diagonal-G", "dense-G"])
+def test_rotating_family_samples_turn_h0(levels, dense, rng):
+    # every level difference of G is 0 or +-omega = 0.7, so any Hermitian
+    # H0 turns at one frequency; a dense G is diagonalized once
+    n = len(levels)
+    u = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    g = u @ np.diag(levels) @ u.conj().T if dense else np.diag(levels).astype(complex)
+    h0 = _random_hermitian(rng, n)
+    period = 2 * math.pi / 0.7
+    fam = rotating_family(h0, g, period)
+    assert fam.hermitian and abs(abs(fam.terms[1]) - 0.7) <= 1e-15
+    ts = np.linspace(0.0, 2 * period, 41)
+    want = np.stack([_turned(h0, g, t) for t in ts])
+    assert np.max(np.abs(fam.sample(ts) - want)) <= 1e-14
+    # the terms are the samples' coefficients, as for a trig_family
+    (c0, c1, c2), omega = fam.terms
+    wt = omega * ts[:, None, None]
+    assert np.max(np.abs(c0 + np.cos(wt) * c1 + np.sin(wt) * c2 - want)) <= 1e-14
+
+
+# omega_o and -omega_o; the slow drives of the benchmark, 1e-2 omega_ns;
+# a rate whose period 2 pi / |omega_o| gives back |omega_o| one ulp off
+RING_RATES = [1.0, -1.0, 1e-2, -1e-2, 2.907288304960468]
+
+
+@pytest.mark.parametrize("rate", RING_RATES)
+@pytest.mark.parametrize("n,eps,chi", [(0, 0.5, math.pi / 3), (2, 0.3, math.pi / 6)])
+def test_rotating_ring_block_keeps_its_trig_family_bit_for_bit(n, eps, chi, rate):
+    # H(0) turned by G = -omega_o sigma_z / 2 gives the coefficients the
+    # block once wrote by hand, its frequency omega_o with its sign, and
+    # the same samples bit for bit
+    probe = RotatingRingBlock(n=n, eps=eps, chi=chi, omega_o=1.0)
+    omega_o = rate * probe.omega_ns if abs(rate) < 0.1 else rate
+    b = RotatingRingBlock(n=n, eps=eps, chi=chi, omega_o=omega_o)
+    want = trig_family(b.c0 * ID2 - b.kappa * b.g * SIGMA_Z,
+                       -b.kappa * b.delta * SIGMA_X,
+                       b.kappa * b.delta * SIGMA_Y, omega_o)
+    fam = b.hamiltonian
+    assert [np.array_equal(a, c) for a, c in zip(fam.terms[0], want.terms[0])] == [True] * 3
+    assert fam.terms[1] == omega_o and fam.period == want.period == b.period
+    ts = np.linspace(-b.period, 3 * b.period, 1001)
+    assert fam.sample(ts).tobytes() == want.sample(ts).tobytes()
+    h0, g = fam.rotation
+    assert np.array_equal(h0, want(0.0))
+    assert np.array_equal(g, -0.5 * omega_o * SIGMA_Z)
+    if rate == RING_RATES[-1]:
+        assert 2 * math.pi / b.period != omega_o
+
+
+@pytest.mark.parametrize("h0,g,period,error,match", [
+    # G's levels 0, 1, 2: entry (0, 2) turns at the second harmonic
+    (np.ones((3, 3)), np.diag([0.0, 1.0, 2.0]), 2 * math.pi, ValueError, "second harmonic"),
+    # one coupled pair turning at 1.5, not at 2 pi / period = 1
+    (SIGMA_X, 0.75 * SIGMA_Z, 2 * math.pi, ValueError, r"turns at 1\.5"),
+    (np.array([[0.0, 1.0], [0.0, 0.0]]), SIGMA_Z, 2 * math.pi, HermiticityError, "H0 is not Hermitian"),
+    (SIGMA_X, np.array([[0.0, 1.0], [0.0, 0.0]]), 2 * math.pi, HermiticityError, "G is not Hermitian"),
+    (np.diag([math.nan, 0.0]), 0.5 * SIGMA_Z, 2 * math.pi, ValueError, "H0 has a non-finite entry"),
+    (SIGMA_X, np.diag([math.inf, 0.0]), 2 * math.pi, ValueError, "G has a non-finite entry"),
+    (SIGMA_X, 0.5 * SIGMA_Z, math.nan, ValueError, "period must be finite and positive"),
+    (SIGMA_X, 0.5 * SIGMA_Z, math.inf, ValueError, "period must be finite and positive"),
+    (SIGMA_X, 0.5 * SIGMA_Z, 0.0, ValueError, "period must be finite and positive"),
+    (SIGMA_X, 0.5 * SIGMA_Z, -2 * math.pi, ValueError, "period must be finite and positive"),
+], ids=["second-harmonic", "off-period", "skew-H0", "skew-G", "nan-H0", "inf-G",
+        "nan-period", "inf-period", "zero-period", "negative-period"])
+def test_rotating_family_refusals(h0, g, period, error, match):
+    # each raised before any numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=match):
+            rotating_family(h0, g, period)
+
+
+def test_rotation_is_read_only_and_declared_by_two_builders():
+    h0, g = SIGMA_X.copy(), -0.5 * SIGMA_Z
+    fam = rotating_family(h0, g, 2 * math.pi)
+    assert fam.terms[1] == 1.0
+    h0[0, 1] = 7.0  # the caller's array does not reach the family
+    rh, rg = fam.rotation
+    assert np.array_equal(rh, SIGMA_X) and np.array_equal(rg, g)
+    assert not rh.flags.writeable and not rg.flags.writeable
+    with pytest.raises(AttributeError):
+        fam.rotation = None
+    const = constant_family(SIGMA_X, 1.0)
+    assert const.rotation[0] is const.matrix and const.rotation[1] is None
+    trig = trig_family(SIGMA_Z, SIGMA_X, SIGMA_Y, 1.0)
+    for other in (trig, assemble_blocks([const, const]),
+                  OperatorFamily(2, trig.period, trig._sampler)):
+        assert other.rotation is None
