@@ -25,8 +25,18 @@ runs without its buffered broadcast iterator; a short stack (at most
 cost of those four calls an entry outweighs the iterator's, forms all
 entries in one broadcast of the columns of a times the rows of b, the
 same multiply-then-add bit for bit. Longer inner dimensions take matmul (the 4 x 4 direct sum) and
-Grams with a longer core take one vecdot, which conjugates F as it
-reads it instead of copying it.
+Grams with a longer core take vecdot, which conjugates F as it reads
+it instead of copying it.
+
+A stack pass over more than _SPLIT_BYTES (2 MiB) is split by its rows
+between the calling thread and one worker thread when two cores are
+usable (_split_rows). Only the torus loops' 8.4 MB stacks are that
+large: ActionRingBlock.torus_state's two writes over theta and the
+vecdot Grams of their unitarity check and overlaps. Such a pass is
+memory-bound and starts cache-cold, and numpy's loops already run near
+their floor on one core, so the second core is what is left; numpy
+releases the interpreter lock inside them, and each row is computed as
+in one call, so the result is the same bit for bit.
 
 The ordered products (propagated states, alignment gauges, the Wilson
 loop) share one log-depth product tree. The upsweep runs in place:
@@ -62,11 +72,82 @@ stack of midpoint samples that all equal the first and the tree for any
 other stack.
 """
 
+import contextvars
+import os
+import threading
+
 import numpy as np
 
 # the most entries of a for which _matmul forms an inner-dimension-2
 # stack in one broadcast: 64 products of 2 x 2 matrices
 _SHORT_STACK = 256
+
+# above this, r + |k0| of eigh_batch's 2 x 2 closed form could overflow
+_HALF_MAX = np.finfo(float).max / 2
+
+# a stack pass over more bytes than this is split between two threads
+# (_split_rows): the torus loops' 8.4 MB stacks exceed it, and every
+# other stack of the benchmark's workloads is at most about 1 MB
+_SPLIT_BYTES = 2 << 20
+
+# the one worker thread of _split_rows, started on the first split
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _drop_pool():
+    """Forget the worker in a forked child, which has no copy of the
+    thread: a split there would wait on it forever."""
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _worker_pool():
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            # imported here, on the first split: it costs a few ms at import
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="geomphase-rows")
+        return _pool
+
+
+def _usable_cores():
+    """The cores this process may run on; os.cpu_count() on a platform
+    without affinity masks."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _split_rows(fn, rows, nbytes):
+    """Run fn(lo, hi) over the rows 0 .. rows-1 of a stack pass of nbytes,
+    split between the calling thread and one worker thread when the pass
+    is large and two cores are usable.
+
+    fn writes rows lo .. hi-1 of its result and nothing else, and must
+    not split in turn. A pass above _SPLIT_BYTES runs its upper half in
+    the worker, under a copy of the caller's context, so the caller's
+    np.errstate holds there too, and its lower half in the caller; numpy
+    releases the interpreter lock inside its loops, and each row is
+    computed exactly as in one call, so the result is the same bit for
+    bit. Both halves finish before this returns or raises; the caller's
+    error comes first.
+    """
+    if nbytes <= _SPLIT_BYTES or rows < 2 or _usable_cores() < 2:
+        fn(0, rows)
+        return
+    mid = rows // 2
+    upper = _worker_pool().submit(contextvars.copy_context().run, fn, mid, rows)
+    try:
+        fn(0, mid)
+    finally:
+        upper.exception()  # waits for the upper half, raising nothing
+    upper.result()
 
 
 def _adjoint(m):
@@ -126,12 +207,20 @@ def _gram(f, g):
     (..., K, L).
 
     A core of n <= 2 rows is a broadcast sum over the conjugated rows of
-    F (see _matmul); a longer core goes to one vecdot, which conjugates F
-    as it reads it instead of copying it.
+    F (see _matmul); a longer core goes to vecdot, which conjugates F as
+    it reads it instead of copying it, over the stack's rows in one call
+    or, for a large stack of the same shape on both sides, two
+    (_split_rows).
     """
     if f.shape[-2] <= 2:
         return _matmul(_adjoint(f), g)
-    return np.vecdot(f[..., :, :, None], g[..., :, None, :], axis=-3)
+    fk, gl = f[..., :, :, None], g[..., :, None, :]
+    if f.ndim < 3 or f.shape[:-2] != g.shape[:-2]:
+        return np.vecdot(fk, gl, axis=-3)
+    out = np.empty(f.shape[:-2] + (f.shape[-1], g.shape[-1]), np.result_type(f, g))
+    _split_rows(lambda lo, hi: np.vecdot(fk[lo:hi], gl[lo:hi], axis=-3, out=out[lo:hi]),
+                f.shape[0], f.nbytes)
+    return out
 
 
 def _upsweep(f):
@@ -197,10 +286,13 @@ def _expm_herm(h, s):
         w, v = np.linalg.eigh(h)
         return (v * np.exp(w * (-1j * s))[..., None, :]) @ _adjoint(v)
     d0, d1 = h[..., 0, 0].real, h[..., 1, 1].real
-    k0 = (d0 - d1) / 2
+    # halved before they are combined, so that no entry below the
+    # largest float overflows; exact above the subnormal range. The
+    # halves are temporaries: propagate's peak holds no extra (M,) array
+    k0 = d0 / 2 - d1 / 2
     k1 = h[..., 0, 1]
     x = s * np.hypot(k0, np.abs(k1))
-    phase = np.exp((-1j * s / 2) * (d0 + d1))
+    phase = np.exp((-1j * s) * (d0 / 2 + d1 / 2))
     c = phase * np.cos(x)
     # sin(x) / x, and its limit 1 at x = 0
     q = phase * np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0)
@@ -250,14 +342,20 @@ def eigh_batch(hs):
     """
     if hs.shape[-1] != 2:
         return np.linalg.eigh(hs)
-    d0, d1 = hs[..., 0, 0].real, hs[..., 1, 1].real
-    a = (d0 + d1) / 2
-    k0 = (d0 - d1) / 2
+    # the diagonal halved before it is combined, so that no entry below
+    # the largest float overflows; exact above the subnormal range
+    d0, d1 = hs[..., 0, 0].real / 2, hs[..., 1, 1].real / 2
+    a = d0 + d1
+    k0 = d0 - d1
     k1 = hs[..., 0, 1]
     r = np.hypot(k0, np.abs(k1))
     # the larger component t = r + |k0| >= |k1| divides the other first,
     # so a subnormal |K| cannot overflow the normalization
-    t = r + np.abs(k0)
+    if r.size and r.max() > _HALF_MAX:
+        # t could overflow: halve it and k1 alike, exactly at this size
+        t, k1 = r / 2 + np.abs(k0) / 2, k1 / 2
+    else:
+        t = r + np.abs(k0)
     zero = t == 0
     # real divisions: numpy divides complex by the reciprocal of t
     tt = np.where(zero, 1.0, t)

@@ -82,11 +82,6 @@ class OperatorFamily:
         return self._rotation
 
     @property
-    def matrix(self):
-        """C0 of a constant_family, which every sample equals; else None."""
-        return self._terms[0][0] if self._terms and len(self._terms[0]) == 1 else None
-
-    @property
     def hermitian(self):
         """True if every sample at a finite time is Hermitian bit for bit
         and finite (trig_family refuses a time at which omega t
@@ -176,8 +171,8 @@ def trig_family(c0, c1, c2, omega, period=None, label="family"):
 
 
 def constant_family(c0, period, label="family"):
-    """H(t) = C0, declared constant: its one term C0 is its matrix, which
-    evolve and aa_phase read in place of samples."""
+    """H(t) = C0, declared constant: aa_phase reads its one term C0 and
+    evolve its rotation (C0, None) in place of samples."""
     c0 = _coefficient(c0, "C0")
     family = _built_family((c0,), 0.0, period, label)
     family._rotation = (c0, None)
@@ -562,7 +557,9 @@ class ActionRingBlock:
 
         Each sample is unit when flattened: both components carry the
         grid weight 1/sqrt(n_phi), and modes n and n+1 are exactly
-        orthonormal on any grid with n_phi > |n| + 1 points.
+        orthonormal on any grid with n_phi > |n| + 1 points. A large
+        stack is written in two halves of its theta rows at once
+        (_kernels._split_rows).
         """
         col = _branch_column(branch)
         cm, sm = math.cos(self.theta_mix), math.sin(self.theta_mix)
@@ -570,12 +567,19 @@ class ActionRingBlock:
         w = 1.0 / math.sqrt(self.n_phi)
         theta = np.asarray(theta, dtype=float)
         out = np.empty(theta.shape + (self.n_phi, 2), dtype=np.complex128)
-        out[..., 0] = (a * w) * np.exp(1j * self.n * self.phi_grid)
+        upper = (a * w) * np.exp(1j * self.n * self.phi_grid)
         # the lower component is the outer product e^{-i theta} x
         # b e^{i(n+1) phi}: one exp per winding sample and per grid point,
         # not one per pair
-        np.multiply(np.exp(-1j * theta)[..., None],
-                    (b * w) * np.exp(1j * (self.n + 1) * self.phi_grid), out=out[..., 1])
+        turn = np.exp(-1j * theta).reshape(-1, 1)
+        lower = (b * w) * np.exp(1j * (self.n + 1) * self.phi_grid)
+        rows = out.reshape((turn.shape[0], self.n_phi, 2), copy=False)
+
+        def write(lo, hi):
+            rows[lo:hi, :, 0] = upper
+            np.multiply(turn[lo:hi], lower, out=rows[lo:hi, :, 1])
+
+        _kernels._split_rows(write, turn.shape[0], out.nbytes)
         return out
 
 

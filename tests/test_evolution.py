@@ -532,7 +532,7 @@ def test_declared_constant_route_matches_sampled_route(make, steps):
 
     declared._sampler = counted
     sampled = OperatorFamily(declared.dim, declared.period, sampler, label=declared.label)
-    assert declared.matrix is not None and sampled.matrix is None
+    assert declared.rotation is not None and sampled.rotation is None
     for x0 in (model.state("+"), model.frame_batch(0.0)):
         got, want = evolve(declared, x0, steps=steps), evolve(sampled, x0, steps=steps)
         assert np.array_equal(got.states, want.states)
@@ -620,6 +620,21 @@ def test_aa_phase_refuses_an_overflowed_dynamic_phase():
         warnings.simplefilter("error")
         with pytest.raises(GeomPhaseError, match="dynamic phase .* is not finite"):
             aa_phase(traj)
+
+
+def test_evolve_near_the_largest_float_never_warns():
+    # the eigensolve of the closed form formed d0 - d1 = 2e308 and warned
+    # before the overflowed phase was refused; it now gives finite states
+    # (or refuses the run with ValueError), never a RuntimeWarning
+    fam = constant_family(1e308 * SIGMA_Z, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            states = evolve(fam, np.array([1.0, 0.0], dtype=complex), steps=8).states
+        except ValueError:
+            return
+    assert np.all(np.isfinite(states))
+    assert np.max(np.abs(np.abs(states[:, 0]) - 1.0)) <= 1e-15 and np.all(states[:, 1] == 0)
 
 
 def test_hermiticity_tolerance_scales_with_whole_run():

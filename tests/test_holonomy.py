@@ -552,3 +552,87 @@ def test_sum_of_branch_phases_is_quantized():
         p_minus, _ = spin_path(theta, steps=2048, column=1)
         total = berry_phase(p_plus) + berry_phase(p_minus)
         assert circular_distance(total, 0.0) < 1e-6
+
+
+# Lunes on S^4: the lower doublet of x . Gamma, for five anticommuting
+# Hermitian Gamma_a that square to I, pulls the universal U(2) bundle
+# over Gr(2, 4) back to S^4. A lune runs from N = e5 to S = -e5 along the
+# meridian through y (x = cos t e5 + sin t y, t in [0, pi]) and back
+# along the one through y0. Along a meridian e^{-t Gamma_5 (y . Gamma)/2}
+# carries the doublet with zero connection, so the transport holonomy is
+# h(y) = F0^H (y0 . Gamma)(y . Gamma) F0 and the loop unitary is h(y)^H.
+# Every overlap along such an arc has the identity as its polar factor,
+# so the closed form holds to roundoff at any step count; an even one
+# puts the kink at S on the grid.
+GAMMA = np.stack([np.kron(SIGMA_X, SIGMA_X), np.kron(SIGMA_X, SIGMA_Y),
+                  np.kron(SIGMA_X, SIGMA_Z), np.kron(SIGMA_Y, np.eye(2)),
+                  np.kron(SIGMA_Z, np.eye(2))])
+LUNE_Y0 = np.eye(5)[0]
+
+
+def _dot_gamma(x):
+    return np.tensordot(x, GAMMA, axes=(-1, 0))
+
+
+def _lune_points(t, y):
+    """The lune through y at t in [0, 2 pi], in order."""
+    side = np.where(t[..., None] <= math.pi, y, -LUNE_Y0)
+    return np.cos(t)[..., None] * np.eye(5)[4] + np.sin(t)[..., None] * side
+
+
+def _lune_family(points):
+    return OperatorFamily(4, TWO_PI, lambda ts: _dot_gamma(points(ts)), label="lune")
+
+
+def _equator_points(rng, count):
+    y = np.zeros((count, 5))
+    y[:, :4] = rng.normal(size=(count, 4))
+    return y / np.linalg.norm(y, axis=1, keepdims=True)
+
+
+def test_gamma_matrices_anticommute():
+    for a in range(5):
+        for b in range(5):
+            anti = GAMMA[a] @ GAMMA[b] + GAMMA[b] @ GAMMA[a]
+            assert np.array_equal(anti, 2 * np.eye(4) * (a == b))
+
+
+@pytest.mark.parametrize("steps", [256, 1024, 4096])
+def test_lune_wilson_loop_is_the_adjoint_closed_form(steps, rng):
+    # measured 3e-16 to 2.6e-15; h itself misses by 1.29 to 1.63
+    for y in _equator_points(rng, 3):
+        path = sample_frames(EigenframeSource(_lune_family(lambda t: _lune_points(t, y))),
+                             steps=steps)
+        f0 = path.frames[0]
+        h = f0.conj().T @ _dot_gamma(LUNE_Y0) @ _dot_gamma(y) @ f0
+        w = wilson_loop(path)
+        assert np.max(np.abs(w - h.conj().T)) <= 1e-12
+        assert np.max(np.abs(w - h)) > 0.5
+
+
+def test_two_lunes_in_order_give_the_product_in_order(rng):
+    # the loop through y1, then the one through y2, each at double speed:
+    # W1 W2, while W2 W1 misses by O(1)
+    y1, y2 = _equator_points(rng, 2)
+
+    def both(t):
+        first = t <= math.pi
+        return np.where(first[..., None], _lune_points(2 * t, y1),
+                        _lune_points(2 * t - TWO_PI, y2))
+
+    w1, w2, w12 = (wilson_loop(sample_frames(EigenframeSource(_lune_family(points)),
+                                             steps=1024))
+                   for points in (lambda t: _lune_points(t, y1),
+                                  lambda t: _lune_points(t, y2), both))
+    assert np.max(np.abs(w12 - w1 @ w2)) <= 1e-12
+    assert np.max(np.abs(w12 - w2 @ w1)) > 0.1
+
+
+def test_lune_wilson_loop_is_reparametrization_invariant(rng):
+    # t -> t + 0.4 sin t fixes N and S and runs the same image loop in
+    # Gr(2, 4) at another speed: the loop unitary stays on its closed form
+    for y in _equator_points(rng, 2):
+        w = [wilson_loop(sample_frames(EigenframeSource(_lune_family(points)), steps=1024))
+             for points in (lambda t: _lune_points(t, y),
+                            lambda t: _lune_points(t + 0.4 * np.sin(t), y))]
+        assert np.max(np.abs(w[1] - w[0])) <= 1e-12

@@ -3,9 +3,18 @@ Eigenvector columns are only ever compared through residuals and
 eigenprojectors, since a degenerate or phase-free column has no unique
 value to compare."""
 
+import concurrent.futures
 import functools
+import importlib.util
 import math
+import multiprocessing
+import os
+import pathlib
+import sys
+import threading
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,12 +23,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geomphase import (
+    ActionRingBlock,
     RotatingRingBlock,
     SpinHalf,
     StaticRingBlock,
     _kernels,
     assemble_blocks,
     random_unitary_gauge,
+    torus_path,
+    torus_phase,
 )
 
 # Every kernel test runs on the one build, plain numpy. The
@@ -163,6 +175,27 @@ def test_eigh_2x2_matches_lapack_property(entries, exponent):
     e[peak > 0] /= peak[peak > 0, None]
     h = hermitian2(e[:, 0], e[:, 1], e[:, 2] + 1j * e[:, 3])
     assert_eigh2_matches_lapack(h * 10.0 ** exponent)
+
+
+def test_2x2_closed_forms_take_diagonals_near_the_largest_float():
+    # d0 - d1 and r + |k0| once overflowed with a RuntimeWarning; the
+    # diagonal is halved first, and r + |k0| and k1 where it could overflow
+    big = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w, v = _kernels.eigh_batch(hermitian2(np.array([big, -big]), np.array([-big, big]),
+                                              np.zeros(2)))
+        assert np.array_equal(w, [[-big, big]] * 2)
+        assert np.array_equal(np.abs(v[0]), [[0.0, 1.0], [1.0, 0.0]])
+        assert np.array_equal(v[1], np.eye(2))
+        # r + |k0| = (1 + sqrt 2) big
+        h = big * hermitian2(1.0, -1.0, np.array([1.0, 1j]))
+        w, v = _kernels.eigh_batch(h)
+        assert np.allclose(w, [[-math.sqrt(2) * big, math.sqrt(2) * big]] * 2, rtol=1e-15)
+        assert np.max(np.abs(h / big @ v - v * (w / big)[..., None, :])) <= 1e-15
+        assert_eigh2_matches_lapack(h / 2)
+        u = _kernels._expm_herm(hermitian2(big, -big, np.array([0.0])), 1e-300)
+        assert np.max(np.abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(2))) <= 1e-15
 
 
 @pytest.mark.parametrize("k1", [5.96e-263, 5.96e-263j, 1e-270 - 3e-271j, 3e-265])
@@ -798,3 +831,161 @@ def test_polar_unitary_2x2_matches_svd_and_scipy(m):
     assert np.max(np.abs(stack_u[1] - u.conj())) <= 1e-15 * 8
     assert abs(stack_smin[1] - smin) <= 4e-16 * s[0]
     assert _kernels.overlap_smins(np.stack([np.eye(2), m]))[1][0] == stack_smin[0]
+
+
+# Large stack passes split between the caller and one worker thread
+# (_kernels._split_rows): the torus loops' 8.4 MB stacks.
+
+
+@pytest.fixture
+def two_cores(monkeypatch):
+    """Two usable cores whatever the machine has, so the split runs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+@pytest.fixture
+def splits(monkeypatch):
+    """The number of splits run since the fixture was set up."""
+    count = []
+    pool = _kernels._worker_pool
+
+    def counted():
+        count.append(1)
+        return pool()
+
+    monkeypatch.setattr(_kernels, "_worker_pool", counted)
+    return count
+
+
+def _torus_frames(block, branch, steps=4096):
+    return block.torus_state(branch, np.linspace(0.0, 2 * np.pi, steps + 1))
+
+
+@pytest.mark.parametrize("n, branch", [(0, "+"), (2, "-")])
+def test_split_passes_give_the_unsplit_bits(n, branch, two_cores, splits, monkeypatch):
+    block = ActionRingBlock(n=n)
+    split = _torus_frames(block, branch)
+    assert split.nbytes > _kernels._SPLIT_BYTES and len(splits) == 1
+    f = split.reshape(split.shape[0], -1, 1)
+    grams = (_kernels._gram(f, f), _kernels._gram(f[:-1], f[1:]))
+    assert len(splits) == 3
+    monkeypatch.setattr(_kernels, "_SPLIT_BYTES", split.nbytes)
+    whole = _torus_frames(block, branch)
+    assert np.array_equal(whole, split)
+    assert np.array_equal(_kernels._gram(f, f), grams[0])
+    assert np.array_equal(_kernels._gram(f[:-1], f[1:]), grams[1])
+    assert len(splits) == 3
+
+
+def test_concurrent_callers_share_the_worker(two_cores, monkeypatch):
+    # four threads split at once, each from a fresh module state: one
+    # worker is started and every stack keeps its bits
+    block = ActionRingBlock(n=1)
+    want = _torus_frames(block, "+")
+    made = []
+
+    class Counted(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
+    monkeypatch.setattr(_kernels, "_pool", None)
+    got = []
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda: got.extend(
+            _torus_frames(block, "+") for _ in range(5))) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 20 and all(np.array_equal(g, want) for g in got)
+    assert len(made) == 1
+
+
+def test_split_keeps_the_callers_errstate(two_cores, splits):
+    # only the last row, one of the worker's, overflows
+    f = np.full((4097, 128, 1), 1 / math.sqrt(128), dtype=complex)
+    f[-1] = 1e200
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError, match="overflow"):
+            _kernels._gram(f, f)
+    with np.errstate(over="ignore"):
+        g = _kernels._gram(f, f)
+    assert np.isinf(g[-1, 0, 0].real) and np.all(g[:-1] == g[0])
+    assert len(splits) == 2
+
+
+@pytest.mark.parametrize("failing", ["caller", "worker"])
+def test_split_error_propagates_after_both_halves(failing, two_cores):
+    finished = []
+
+    def rows(lo, hi):
+        if (lo == 0) == (failing == "caller"):
+            raise ValueError(f"rows {lo}..{hi}")
+        time.sleep(0.2)
+        finished.append((lo, hi))
+
+    with pytest.raises(ValueError, match="rows"):
+        _kernels._split_rows(rows, 10, _kernels._SPLIT_BYTES + 1)
+    assert finished == ([(5, 10)] if failing == "caller" else [(0, 5)])
+
+
+def _workloads():
+    path = pathlib.Path(__file__).parents[1] / "benchmarks" / "perf" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perf_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload, count", [
+    ("eigenframe_loops", 18), ("pair_holonomy", 0), ("cyclic_evolution", 0),
+])
+def test_only_the_torus_stacks_split(workload, count, two_cores, splits, monkeypatch):
+    # three splits per torus loop (its samples, their unitarity check and
+    # their overlaps), six loops a pass; no other stack reaches the
+    # threshold, so the other two workloads start no thread
+    tasks = getattr(_workloads(), workload)(1)
+    monkeypatch.setattr(_kernels, "_pool", None)
+    threads = threading.active_count()
+    for task in tasks:
+        task.run()
+    assert len(splits) == count
+    if not count:
+        assert _kernels._pool is None and threading.active_count() == threads
+
+
+def test_one_core_never_splits(monkeypatch, splits):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    block = ActionRingBlock(n=1)
+    torus_path(block, "+")
+    assert not splits
+
+
+def _torus_loop_in_child():
+    # the parent's worker is not in this process
+    assert _kernels._pool is None
+    block = ActionRingBlock(n=1)
+    phase = torus_phase(torus_path(block, "+"))
+    assert abs(phase - block.references["torus_plus"]) <= 1e-6
+    assert _kernels._pool is not None
+
+
+def test_forked_child_splits_after_its_parent(two_cores):
+    block = ActionRingBlock(n=1)
+    torus_phase(torus_path(block, "+"))
+    assert _kernels._pool is not None
+    child = multiprocessing.get_context("fork").Process(target=_torus_loop_in_child)
+    child.start()
+    child.join(timeout=120)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail("the forked child hung on its first split")
+    assert child.exitcode == 0

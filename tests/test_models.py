@@ -92,7 +92,7 @@ def test_huge_exactly_hermitian_coefficients_build_without_warning():
             hs = fam.sample(np.linspace(0.0, fam.period, 33))
             assert np.all(np.isfinite(hs))
             assert hermitian_defect(hs) == 0.0
-        assert np.array_equal(fams[1].matrix, big * SIGMA_Z)
+        assert np.array_equal(fams[1].rotation[0], big * SIGMA_Z)
         # aa_phase reads their energies from the coefficients: the doubled
         # cross feature 2 Re conj(psi_0) psi_1 of (1, 1)/sqrt 2 is 1, where
         # a doubled coefficient would overflow
@@ -108,7 +108,7 @@ def test_huge_exactly_hermitian_coefficients_build_without_warning():
         # a huge coefficient that is Hermitian to 1e-10 only
         skew = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
         c = big * ID2 + 5e-11 * skew + 3e-11j * ID2
-        m = constant_family(c, 1.0).matrix
+        m = constant_family(c, 1.0).rotation[0]
         assert hermitian_defect(m) == 0.0
         assert np.max(np.abs(m - c)) <= 5e-11
         # the refusal of an unbounded sum stays, for its own reason
@@ -159,14 +159,14 @@ def test_constant_family():
     assert np.max(np.abs(fam(1.234) - SIGMA_X)) == 0.0
     assert fam.sample(np.zeros(3)).shape == (3, 2, 2)
     # the declared matrix is C0; no other family declares one
-    assert np.array_equal(fam.matrix, SIGMA_X) and not fam.matrix.flags.writeable
-    assert trig_family(SIGMA_Z, SIGMA_X, SIGMA_Y, 1.0).matrix is None
-    assert assemble_blocks([fam, fam]).matrix is None
+    assert np.array_equal(fam.rotation[0], SIGMA_X) and not fam.rotation[0].flags.writeable
+    assert trig_family(SIGMA_Z, SIGMA_X, SIGMA_Y, 1.0).rotation is None
+    assert assemble_blocks([fam, fam]).rotation is None
     # the matrix is the one coefficient of the family's terms; a trig
     # family carries three and its frequency, a direct sum and a plain
     # sampler none
     (c,), omega = fam.terms
-    assert c is fam.matrix and omega == 0.0
+    assert c is fam.rotation[0] and omega == 0.0
     trig = trig_family(SIGMA_Z, SIGMA_X, SIGMA_Y, 2.5)
     assert [np.array_equal(a, b) for a, b in zip(trig.terms[0], (SIGMA_Z, SIGMA_X, SIGMA_Y))] == [True] * 3
     assert trig.terms[1] == 2.5
@@ -196,10 +196,10 @@ def test_coefficients_checked_to_1e_10_and_kept_exactly_hermitian():
     # within the tolerance the family keeps the exact Hermitian part
     c = SIGMA_X + 5e-11 * skew + 3e-11j * ID2
     fam = constant_family(c, 1.0)
-    assert hermitian_defect(fam.matrix) == 0.0
-    assert np.max(np.abs(fam.matrix - c)) <= 5e-11
+    assert hermitian_defect(fam.rotation[0]) == 0.0
+    assert np.max(np.abs(fam.rotation[0] - c)) <= 5e-11
     # an exactly Hermitian coefficient is kept bit for bit
-    assert np.array_equal(constant_family(SIGMA_Y, 1.0).matrix, SIGMA_Y)
+    assert np.array_equal(constant_family(SIGMA_Y, 1.0).rotation[0], SIGMA_Y)
 
 
 def _near_hermitian(n):
@@ -259,12 +259,12 @@ def test_families_own_their_coefficients():
     for a in (c, c0, c1, c2):
         a[0, 1] = 5.0
     assert np.array_equal(const(0.3), SIGMA_X)
-    assert np.array_equal(const.matrix, SIGMA_X)
+    assert np.array_equal(const.rotation[0], SIGMA_X)
     t = 0.3
     want = SIGMA_Z + math.cos(t) * SIGMA_X + math.sin(t) * SIGMA_Y
     assert np.max(np.abs(trig(t) - want)) <= 1e-15
     with pytest.raises(ValueError, match="read-only"):
-        const.matrix[0, 1] = 5.0
+        const.rotation[0][0, 1] = 5.0
 
 
 class TestSpinHalf:
@@ -601,7 +601,7 @@ def test_rotation_is_read_only_and_declared_by_two_builders():
     with pytest.raises(AttributeError):
         fam.rotation = None
     const = constant_family(SIGMA_X, 1.0)
-    assert const.rotation[0] is const.matrix and const.rotation[1] is None
+    assert const.rotation[0] is const.terms[0][0] and const.rotation[1] is None
     trig = trig_family(SIGMA_Z, SIGMA_X, SIGMA_Y, 1.0)
     for other in (trig, assemble_blocks([const, const]),
                   OperatorFamily(2, trig.period, trig._sampler)):
